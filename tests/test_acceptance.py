@@ -27,7 +27,11 @@ from permwords import (
 )
 
 PATTERN = (1, 3, 2, 4)
-COUNTS = (1, 1, 2, 6, 23, 103, 513, 2762, 15793, 94776, 591950)
+# OEIS A061552, n = 0..18.
+COUNTS = (
+    1, 1, 2, 6, 23, 103, 513, 2762, 15793, 94776, 591950, 3824112, 25431452,
+    173453058, 1209639642, 8604450011, 62300851632, 458374397312, 3421888118907,
+)
 
 
 def _report(name: str) -> None:
@@ -139,10 +143,11 @@ def test_criterion_07_growth_bounds():
 
 
 def test_criterion_08_counts_within_pair_counts():
-    cab = expand(PAIR_SERIES_CAB, 20)
-    cabb = expand(PAIR_SERIES_CABB, 20)
-    run = expand(PAIR_SERIES_CAB_RUN, 20)
-    for n in range(1, 11):
+    top = 2 * (len(COUNTS) - 1)
+    cab = expand(PAIR_SERIES_CAB, top)
+    cabb = expand(PAIR_SERIES_CABB, top)
+    run = expand(PAIR_SERIES_CAB_RUN, top)
+    for n in range(1, len(COUNTS)):
         s_n = COUNTS[n]
         assert count_avoiders(n, PATTERN) == s_n
         assert s_n <= run[2 * n] <= cabb[2 * n] <= cab[2 * n], n

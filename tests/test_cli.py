@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -26,9 +27,28 @@ class TestUsageErrors:
         assert code == 2
 
     def test_count_cap(self, capsys):
-        code, _, err = run_main(["count", "--n", "99"], capsys)
+        for argv in (
+            ["count", "--n", "99"],
+            ["count", "--n", "19"],
+            ["count", "--pattern", "4231", "--n", "12"],
+            ["reproduce", "--n", "19"],
+        ):
+            code, out, err = run_main(argv, capsys)
+            assert code == 2, argv
+            assert "capped" in err
+            assert out == ""
+
+    def test_verify_n_cap(self, capsys):
+        code, out, err = run_main(["verify", "--suite", "roots", "--n", "11"], capsys)
         assert code == 2
-        assert "capped" in err
+        assert "--n capped at 10" in err
+        assert out == ""
+
+    def test_verify_pair_cap(self, capsys):
+        code, out, err = run_main(["verify", "--suite", "gf", "--cap-pairs", "15"], capsys)
+        assert code == 2
+        assert "--cap-pairs capped at 14" in err
+        assert out == ""
 
     def test_negative_n(self, capsys):
         code, _, err = run_main(["verify", "--suite", "lemmas", "--n", "-1"], capsys)
@@ -154,10 +174,13 @@ class TestReproduce:
 
 class TestConsoleScript:
     def test_entry_point_runs(self):
+        # The child imports permwords from wherever this process did.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         proc = subprocess.run(
             [sys.executable, "-m", "permwords.cli", "count", "--n", "3"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "n=3  avoiders=6" in proc.stdout

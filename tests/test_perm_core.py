@@ -16,11 +16,14 @@ from permwords import (
     left_to_right_minima,
     right_to_left_maxima,
 )
-from permwords.perm_core import default_worker_count
 
 # Avoider counts for 1324, frozen from independent runs of both engines
-# and (for n <= 8) a brute-force filter over all n! permutations.
-COUNTS_1324 = (1, 1, 2, 6, 23, 103, 513, 2762, 15793, 94776, 591950)
+# and (for n <= 8) a brute-force filter over all n! permutations; the
+# terms for n = 11..18 are those of OEIS A061552.
+COUNTS_1324 = (
+    1, 1, 2, 6, 23, 103, 513, 2762, 15793, 94776, 591950, 3824112, 25431452,
+    173453058, 1209639642, 8604450011, 62300851632, 458374397312, 3421888118907,
+)
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
 
@@ -90,8 +93,11 @@ class TestContains:
 
 class TestCountAvoiders:
     def test_frozen_1324_counts(self):
-        for n, expected in enumerate(COUNTS_1324[:9]):
+        for n, expected in enumerate(COUNTS_1324):
             assert count_avoiders(n, (1, 3, 2, 4)) == expected
+        for n in range(9):
+            listed = len(list(enumerate_avoiders(n, (1, 3, 2, 4))))
+            assert count_avoiders(n, (1, 3, 2, 4)) == listed
 
     def test_naive_filter_agreement_small(self):
         for n in range(7):
@@ -116,20 +122,6 @@ class TestCountAvoiders:
         for n in range(4):
             assert count_avoiders(n, (1, 3, 2, 4)) == factorial(n)
         assert count_avoiders(3, (1, 2, 3, 4, 5)) == 6
-
-    def test_workers_match_serial(self):
-        assert count_avoiders(7, (1, 3, 2, 4), workers=2) == COUNTS_1324[7]
-        assert count_avoiders(7, (2, 1, 4, 3), workers=2) == count_avoiders(
-            7, (2, 1, 4, 3)
-        )
-
-    def test_default_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("PERMWORDS_THREADS", "3")
-        assert default_worker_count() == 3
-        monkeypatch.delenv("PERMWORDS_THREADS")
-        assert default_worker_count() == 1
-        monkeypatch.setenv("PERMWORDS_THREADS", "junk")
-        assert default_worker_count() == 1
 
 
 class TestEnumerate:
