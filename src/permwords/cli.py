@@ -64,6 +64,7 @@ class ReportDocument:
     checks: list[CheckRow] = field(default_factory=list)
     tables: dict[str, list[dict[str, Any]]] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
+    counters: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -83,6 +84,7 @@ class ReportDocument:
                 ],
                 "tables": self.tables,
                 "timings": self.timings,
+                "counters": self.counters,
                 "ok": self.ok,
             }
         )
@@ -267,6 +269,7 @@ def _suite_gf(report: ReportDocument, cap: int) -> None:
             ok,
             f"series coefficients equal exhaustive pair counts for 2<=n<={cap}",
         )
+    report.counters["signature_keys"] = wordlang.signature_key_count(cap - 1)
     seg_ok = all(
         expand(series.SEGMENT_SERIES, 12)[n] == wordlang.count_segments_nocb(n)
         for n in range(13)

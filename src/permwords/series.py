@@ -220,18 +220,19 @@ def expand(f: RationalFunction, order: int) -> list[int | Fraction]:
     """Power-series coefficients c_0..c_order of f at 0, exactly.
 
     Uses the linear recurrence the denominator induces; each value is an
-    int whenever it is integral, a Fraction otherwise.
+    int whenever it is integral, a Fraction otherwise.  It stays in ints
+    when den[0] is 1 or -1, its own inverse, as in every pinned series.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     den = f.den.coeffs
-    d0 = Fraction(den[0])
-    out: list[Fraction] = []
+    inv_d0 = den[0] if den[0] in (1, -1) else Fraction(1, den[0])
+    out: list[int | Fraction] = []
     for m in range(order + 1):
-        acc = Fraction(f.num.coefficient(m))
+        acc = f.num.coefficient(m)
         for j in range(1, min(m, len(den) - 1) + 1):
             acc -= den[j] * out[m - j]
-        out.append(acc / d0)
+        out.append(acc * inv_d0)
     return [int(c) if c.denominator == 1 else c for c in out]
 
 

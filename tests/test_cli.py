@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from permwords import cli
+from permwords import brute_count_pairs, cli
 
 
 def run_main(argv, capsys):
@@ -45,9 +45,9 @@ class TestUsageErrors:
         assert out == ""
 
     def test_verify_pair_cap(self, capsys):
-        code, out, err = run_main(["verify", "--suite", "gf", "--cap-pairs", "15"], capsys)
+        code, out, err = run_main(["verify", "--suite", "gf", "--cap-pairs", "17"], capsys)
         assert code == 2
-        assert "--cap-pairs capped at 14" in err
+        assert "--cap-pairs capped at 16" in err
         assert out == ""
 
     def test_negative_n(self, capsys):
@@ -142,6 +142,19 @@ class TestVerify:
         assert doc["command"] == "verify"
         names = [c["name"] for c in doc["checks"]]
         assert "alpha-digits" in names
+
+    def test_gf_counts_signature_keys(self, capsys):
+        # w and z table keys over word lengths 1..7; a cache that already
+        # reaches further must not change the count.
+        argv = ["verify", "--suite", "gf", "--cap-pairs", "8", "--format", "json"]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["counters"] == {"signature_keys": 311}
+        brute_count_pairs(12)
+        _, again, _ = run_main(argv, capsys)
+        assert json.loads(again)["counters"] == {"signature_keys": 311}
+        code, out, _ = run_main(["verify", "--suite", "roots", "--format", "json"], capsys)
+        assert json.loads(out)["counters"] == {}
 
     def test_json_floats_are_rounded(self, capsys):
         code, out, _ = run_main(

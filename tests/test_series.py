@@ -149,8 +149,18 @@ class TestExpand:
             assert [Fraction(c) for c in mine] == theirs
 
     def test_integer_coefficients_stay_ints(self):
-        for c in expand(SEGMENT_SERIES, 10):
-            assert isinstance(c, int)
+        unit_leads = [SEGMENT_SERIES, PAIR_SERIES_CAB, rf(X, IntPolynomial((-1, 3)))]
+        for f in unit_leads:
+            for c in expand(f, 20):
+                assert type(c) is int, (f, c)
+
+    def test_non_unit_leading_coefficient_gives_fractions(self):
+        # 1/(2-x) = sum x^m / 2^(m+1): no coefficient is integral.
+        for c in expand(rf(1, IntPolynomial((2, -1))), 10):
+            assert type(c) is Fraction and c.denominator > 1
+        # 2/(2-2x) = 1/(1-x): integral values still come back as ints.
+        ones = expand(rf(2, IntPolynomial((2, -2))), 5)
+        assert ones == [1] * 6 and all(type(c) is int for c in ones)
 
     def test_segment_series_counts_segments(self):
         coeffs = expand(SEGMENT_SERIES, 10)

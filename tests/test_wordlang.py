@@ -19,7 +19,7 @@ from permwords import (
     segments,
     verify_lemma_on_avoiders,
 )
-from permwords.wordlang import ALPHABET, _all_pairs
+from permwords.wordlang import ALPHABET, _all_pairs, _cab_runs, _tables_up_to, _words
 
 # Frozen against the exhaustive pair generator below (n = 2..10).  The
 # rule-free counts first exceed the CAB-rule counts at n = 6, where the
@@ -187,9 +187,24 @@ class TestPairCounting:
                 )
                 assert brute_count_pairs(n, rule) == literal, (n, rule)
 
+    def test_signature_tables_match_word_by_word_oracle(self):
+        # Independent oracle for the table DP: the signature of every
+        # CB-free word starting with A, read off the word itself.
+        tables = _tables_up_to(9)
+        for length in range(1, 10):
+            w_sigs: dict[tuple[int, ...], int] = {}
+            z_sigs: dict[tuple[int, ...], int] = {}
+            for v in _words(length):
+                w_key = tuple(_cab_runs(v))  # rightmost A first
+                z_key = tuple(s.count("B") for s in segments(v))
+                w_sigs[w_key] = w_sigs.get(w_key, 0) + 1
+                z_sigs[z_key] = z_sigs.get(z_key, 0) + 1
+            assert tables.w_sigs[length] == w_sigs, length
+            assert tables.z_sigs[length] == z_sigs, length
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            brute_count_pairs(15)
+            brute_count_pairs(17)
         with pytest.raises(ValueError):
             brute_count_pairs(1)
 
