@@ -16,16 +16,24 @@ from typing import Any
 
 from . import series, wordlang
 from .encoder import mark
-from .perm_core import Pattern, Permutation, count_avoiders, enumerate_avoiders
+from .perm_core import (
+    Pattern,
+    Permutation,
+    count_avoiders,
+    dp_state_count,
+    enumerate_avoiders,
+)
 from .roots import CertificateError, certified_smallest_root, growth_bound
 from .series import expand, verify_functional_equations
 from .wordlang import PairRule, brute_count_pairs, verify_lemma_on_avoiders
 
 # Caps on count and reproduce --n, from their cost on a 2-core Xeon VM: the
 # 1324 DP takes 1.7 s and 47 MB at n = 18, about doubling per length; the
-# generic engine takes about 50 s at n = 10.  verify's caps live in wordlang.
+# generic DP takes 0.5 s and 18 MB for 4231 up to n = 13, 1.7 s and 21 MB up
+# to n = 14, and 4-9 s and 33-50 MB up to n = 13 for the length-5 to
+# length-7 patterns tried.  verify's caps live in wordlang.
 COUNT_CAP_1324 = 18
-COUNT_CAP = 11
+COUNT_CAP = 13
 
 BOUND_ROWS = (
     # name, series, printed reference value, tolerance
@@ -167,6 +175,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         rows.append({"n": n, "avoiders": count_avoiders(n, pattern)})
     report.tables["avoider-counts"] = rows
     report.timings["count"] = time.perf_counter() - t0
+    report.counters["dp_states"] = dp_state_count(pattern)
     _emit(report, args.format, args.out)
     return 0
 
@@ -328,6 +337,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "--cap-pairs", args.cap_pairs, wordlang.DEFAULT_PAIR_CAP
     ):
         return 2
+    if args.cap_pairs < 2:
+        # The shortest pair has total length 2: below it every pair check
+        # would run over an empty range and pass.
+        print(
+            f"error: --cap-pairs must be at least 2, got {args.cap_pairs}",
+            file=sys.stderr,
+        )
+        return 2
     report = ReportDocument(
         "verify",
         {
@@ -385,6 +402,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         f"avoider count <= run <= cabb <= cab pair counts at every n<={args.n}",
     )
     report.timings["chain"] = time.perf_counter() - t0
+    report.counters["dp_states"] = dp_state_count((1, 3, 2, 4))
     _emit(report, args.format, args.out)
     return 0 if report.ok else 1
 
@@ -417,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--n", type=int, default=8, help=f"<= {wordlang.LEMMA_CAP}")
     p_verify.add_argument(
-        "--cap-pairs", type=int, default=12, help=f"<= {wordlang.DEFAULT_PAIR_CAP}"
+        "--cap-pairs", type=int, default=12, help=f"2..{wordlang.DEFAULT_PAIR_CAP}"
     )
     p_verify.add_argument("--tol-alpha", type=float, default=1e-11)
     p_verify.add_argument("--format", choices=("plain", "json", "csv"), default="plain")

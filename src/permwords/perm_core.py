@@ -263,20 +263,138 @@ def _search_generic(
         prefix.pop()
 
 
-def _count_generic(n: int, prefix: list[int], matcher: _PatternMatcher) -> int:
-    remaining = n - len(prefix)
-    used = set(prefix)
+# The generic count keeps, for a prefix, the occurrences of q[:j] in it
+# that a suffix could still complete.  Only the order of the r unused
+# values matters, so each is named by its rank among them, and an
+# occurrence of q[:j] matters only through its windows: for each later
+# slot s, the range of ranks that a value in slot s could take.  One
+# occurrence is packed into an int with a field of _W bits per slot: bit
+# y of field s is set when rank y lies in slot s's window.  Every window
+# is a nonempty interval, so the fields of slots below j, and only they,
+# are zero.  The top bit of each field is kept free as a guard, so n is at
+# most _W - 1.
+_W = 32
+_RANKS = (1 << (_W - 1)) - 1
+
+
+class _WindowMasks:
+    """Masks over packed occurrences of one pattern q of length k."""
+
+    def __init__(self, q: tuple[int, ...]):
+        k = self.k = len(q)
+
+        def every_slot(field: int) -> int:
+            return sum(field << (s * _W) for s in range(k))
+
+        # full[r]: the empty occurrence, every window all r ranks.
+        self.full = [every_slot((1 << r) - 1) for r in range(_W)]
+        # below[x] / above[x]: the ranks below / above x in every field.
+        self.below = [every_slot((1 << x) - 1) for x in range(_W - 1)]
+        self.above = [every_slot(_RANKS ^ ((2 << x) - 1)) for x in range(_W - 1)]
+        # Adding `carry` sets a field's guard bit exactly when the field is
+        # nonzero; guards[j] holds the guard bits of slots j and up.
+        self.carry = every_slot(_RANKS)
+        self.guards = [
+            sum(1 << (s * _W + _W - 1) for s in range(j, k)) for j in range(k + 1)
+        ]
+        # slots_from[j]: every bit of slots j and up.
+        self.slots_from = [(1 << (k * _W)) - (1 << (j * _W)) for j in range(k + 1)]
+        # fill[j][x]: when rank x fills slot j, the windows left to the later
+        # slots: above x for those above q[j] in q, below x for the others.
+        self.fill = [
+            [
+                sum(
+                    (self.above[x] if q[j] < q[s] else self.below[x])
+                    & (_RANKS << (s * _W))
+                    for s in range(j + 1, k)
+                )
+                for x in range(_W - 1)
+            ]
+            for j in range(k)
+        ]
+
+
+@cache
+def _window_masks(q: tuple[int, ...]) -> _WindowMasks:
+    return _WindowMasks(q)
+
+
+def _step(
+    q: tuple[int, ...], r: int, state: tuple[int, ...], x: int
+) -> tuple[int, ...] | None:
+    """The state after appending the unused value of rank x among r.
+
+    Returns None when the new value completes an occurrence of q.  The
+    empty occurrence (j = 0, every window all r ranks) is implicit.
+    """
+    t = _window_masks(q)
+    k, carry, guards = t.k, t.carry, t.guards
+    below, above = t.below[x], t.above[x]
+    grown: dict[int, int] = {}  # packed occurrence -> j
+    for occ in (t.full[r], *state):
+        j = ((occ & -occ).bit_length() - 1) // _W
+        if occ >> (j * _W + x) & 1:
+            # x fills slot j of this occurrence: a q[:j + 1] occurrence.
+            if j + 1 == k:
+                return None
+            child = occ & t.fill[j][x]
+            child = child & below | (child & above) >> 1
+            if (child + carry) & guards[j + 1] == guards[j + 1]:
+                grown[child] = j + 1
+        if j:
+            # The occurrence stays as it is; rank x leaves its windows and
+            # every rank above x drops by one.
+            occ = occ & below | (occ & above) >> 1
+            if (occ + carry) & guards[j] == guards[j]:
+                grown[occ] = j
+    # An occurrence that needs more slots than values remain can never
+    # complete.  One whose windows, from some other occurrence's first open
+    # slot on, lie inside that occurrence's adds nothing either: every
+    # completion of it completes the other.  A cover has matched at least
+    # as many slots and, at the same j, has more ranks in its windows, so
+    # it comes first in this order; covering is transitive, so comparing
+    # with the kept occurrences is enough.
+    kept: list[tuple[int, int]] = []
+    order = sorted(grown.items(), key=lambda item: (-item[1], -item[0].bit_count()))
+    for occ, j in order:
+        if k - j < r and all(occ & t.slots_from[i] & ~big for big, i in kept):
+            kept.append((occ, j))
+    return tuple(sorted(occ for occ, _ in kept))
+
+
+@cache
+def _completions_generic(q: tuple[int, ...], r: int, state: tuple[int, ...]) -> int:
+    """Number of ways to finish a q-avoiding prefix, from its packed state.
+
+    `state` holds the prefix's occurrences of q[:j] (1 <= j < len(q)) as
+    packed windows over the r unused values, without those that another
+    one covers.  The state does not depend on n, so the cache serves
+    every length.
+    """
+    if r == 0:
+        return 1
     total = 0
-    for v in range(1, n + 1):
-        if v in used or matcher.found_ending_with(prefix, v):
-            continue
-        if remaining == 1:
-            total += 1
-        else:
-            prefix.append(v)
-            total += _count_generic(n, prefix, matcher)
-            prefix.pop()
+    for x in range(r):
+        nxt = _step(q, r, state, x)
+        if nxt is not None:
+            total += _completions_generic(q, r - 1, nxt)
     return total
+
+
+def _count_generic(n: int, prefix: list[int], matcher: _PatternMatcher) -> int:
+    """Number of q-avoiding permutations of 1..n that start with `prefix`."""
+    if n >= _W:
+        raise ValueError(f"the generic count handles n <= {_W - 1}, got {n}")
+    q = _flatten(matcher.pattern)
+    state: tuple[int, ...] | None = ()
+    used: list[int] = []
+    for v in prefix:
+        x = v - 1 - sum(u < v for u in used)
+        state = _step(q, n - len(used), state, x)
+        if state is None:
+            return 0
+        used.append(v)
+    return _completions_generic(q, n - len(used), state)
 
 
 def _flatten(entries: tuple[int, ...]) -> tuple[int, ...]:
@@ -325,10 +443,11 @@ def count_avoiders(n: int, q: Pattern | Permutation | Sequence[int]) -> int:
     For 1324 a memoised dynamic program over rank-compressed prefix states
     counts without listing the avoiders: n = 18 visits about 112k states
     and takes 1.7 s and 47 MB on a 2-core Xeon VM.  Any other pattern
-    takes the generic search, which builds permutations entry by entry and
-    abandons a prefix as soon as the newest entry completes an occurrence
-    of q, so its time grows with the number of avoiders (n = 10 of 4231
-    takes about 50 s).
+    takes the generic DP over the windows of partial occurrences
+    (`_completions_generic`), which does not list them either: all n <= 13
+    of 4231 take 0.5 s (5.9k states, 18 MB), of any pattern of length 4
+    at most 1.2 s, and of the length-5 to length-7 patterns tried 4-9 s
+    and 33-50 MB.
 
     >>> count_avoiders(4, Pattern.parse("1324"))
     23
@@ -347,6 +466,13 @@ def count_avoiders(n: int, q: Pattern | Permutation | Sequence[int]) -> int:
     if pattern == _PATTERN_1324:
         return _completions_1324(n, (n,) * n)
     return _count_generic(n, [], _PatternMatcher(pattern))
+
+
+def dp_state_count(q: Pattern | Permutation | Sequence[int]) -> int:
+    """Memo states held, for every pattern and length so far, by q's counting engine."""
+    pattern = _flatten(_entries_of(q))
+    engine = _completions_1324 if pattern == _PATTERN_1324 else _completions_generic
+    return engine.cache_info().currsize
 
 
 def _factorial(n: int) -> int:

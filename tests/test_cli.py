@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from permwords import brute_count_pairs, cli
+from permwords import brute_count_pairs, cli, perm_core
 
 
 def run_main(argv, capsys):
@@ -30,7 +30,7 @@ class TestUsageErrors:
         for argv in (
             ["count", "--n", "99"],
             ["count", "--n", "19"],
-            ["count", "--pattern", "4231", "--n", "12"],
+            ["count", "--pattern", "4231", "--n", "14"],
             ["reproduce", "--n", "19"],
         ):
             code, out, err = run_main(argv, capsys)
@@ -49,6 +49,12 @@ class TestUsageErrors:
         assert code == 2
         assert "--cap-pairs capped at 16" in err
         assert out == ""
+        # Below 2 every pair check would run over an empty range.
+        for cap in ("1", "0"):
+            code, out, err = run_main(["verify", "--suite", "gf", "--cap-pairs", cap], capsys)
+            assert code == 2, cap
+            assert f"--cap-pairs must be at least 2, got {cap}" in err
+            assert out == ""
 
     def test_negative_n(self, capsys):
         code, _, err = run_main(["verify", "--suite", "lemmas", "--n", "-1"], capsys)
@@ -88,6 +94,19 @@ class TestCount:
         code, out, _ = run_main(["count", "--n", "5", "--pattern", "132"], capsys)
         assert code == 0
         assert "n=5  avoiders=42" in out
+
+    def test_dp_states_counted(self, capsys):
+        # Pinned on fresh caches; each engine reports its own memo.
+        for argv, states in (
+            (["count", "--n", "8"], 105),
+            (["count", "--pattern", "4231", "--n", "8"], 159),
+            (["reproduce", "--n", "9"], 195),
+        ):
+            perm_core._completions_1324.cache_clear()
+            perm_core._completions_generic.cache_clear()
+            code, out, _ = run_main([*argv, "--format", "json"], capsys)
+            assert code == 0, argv
+            assert json.loads(out)["counters"] == {"dp_states": states}, argv
 
 
 class TestEncode:

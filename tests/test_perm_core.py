@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from permwords import (
     Pattern,
     Permutation,
+    cli,
     contains,
     count_avoiders,
     enumerate_avoiders,
     left_to_right_minima,
     right_to_left_maxima,
 )
+from permwords.perm_core import _count_generic, _PatternMatcher
 
 # Avoider counts for 1324, frozen from independent runs of both engines
 # and (for n <= 8) a brute-force filter over all n! permutations; the
@@ -122,6 +124,62 @@ class TestCountAvoiders:
         for n in range(4):
             assert count_avoiders(n, (1, 3, 2, 4)) == factorial(n)
         assert count_avoiders(3, (1, 2, 3, 4, 5)) == 6
+
+
+class TestGenericCount:
+    """Independent oracles for the generic counting DP (`_count_generic`).
+
+    Brute force over every permutation, the backtracking enumerator
+    (`enumerate_avoiders`, which never touches the DP) and published
+    sequences each check the window DP from outside.
+    """
+
+    # OEIS A047889: permutations of length n avoiding 1234, n = 0..12.
+    COUNTS_1234 = (
+        1, 1, 2, 6, 23, 103, 513, 2761, 15767, 94359, 586590, 3763290, 24792705,
+    )
+
+    def test_every_short_pattern_matches_brute_force(self):
+        for k in range(1, 5):
+            for pattern in itertools.permutations(range(1, k + 1)):
+                for n in range(7):
+                    brute = sum(
+                        1
+                        for p in itertools.permutations(range(1, n + 1))
+                        if not contains(p, pattern)
+                    )
+                    assert count_avoiders(n, pattern) == brute, (pattern, n)
+
+    def test_prefixes_match_filtered_brute_force(self):
+        for pattern in ((1, 3, 2, 4), (2, 4, 1, 3), (1, 2, 3), (3, 1, 4, 2, 5)):
+            matcher = _PatternMatcher(pattern)
+            for n in range(7):
+                avoiders = [
+                    p
+                    for p in itertools.permutations(range(1, n + 1))
+                    if not contains(p, pattern)
+                ]
+                for length in range(min(n, 3) + 1):
+                    for prefix in itertools.permutations(range(1, n + 1), length):
+                        brute = sum(1 for p in avoiders if p[:length] == prefix)
+                        got = _count_generic(n, list(prefix), matcher)
+                        assert got == brute, (pattern, n, prefix)
+
+    def test_4231_is_a061552_up_to_the_cap(self):
+        # 4231 is the reverse of 1324, so its avoiders are counted by the
+        # same sequence.
+        for n in range(cli.COUNT_CAP + 1):
+            assert count_avoiders(n, (4, 2, 3, 1)) == COUNTS_1324[n]
+
+    def test_1234_is_a047889(self):
+        for n, expected in enumerate(self.COUNTS_1234):
+            assert count_avoiders(n, (1, 2, 3, 4)) == expected
+
+    def test_length_five_matches_enumeration(self):
+        pattern = (2, 5, 3, 1, 4)
+        for n in range(9):
+            listed = len(list(enumerate_avoiders(n, pattern)))
+            assert count_avoiders(n, pattern) == listed, n
 
 
 class TestEnumerate:
