@@ -152,10 +152,15 @@ def _emit(report: ReportDocument, fmt: str, out: str | None) -> None:
             fh.write(report.to_json() + "\n")
 
 
-def _over_cap(flag: str, value: int, cap: int) -> bool:
-    if value <= cap:
+def _outside(flag: str, value: int, lo: int, cap: int) -> bool:
+    """Print a usage error and return True unless lo <= value <= cap."""
+    if value > cap:
+        problem = f"capped at {cap}"
+    elif value < lo:
+        problem = f"must be at least {lo}"
+    else:
         return False
-    print(f"error: {flag} capped at {cap}, got {value}", file=sys.stderr)
+    print(f"error: {flag} {problem}, got {value}", file=sys.stderr)
     return True
 
 
@@ -166,7 +171,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cap = COUNT_CAP_1324 if pattern.entries == (1, 3, 2, 4) else COUNT_CAP
-    if _over_cap("--n", args.n, cap):
+    if _outside("--n", args.n, 0, cap):
         return 2
     report = ReportDocument("count", {"pattern": str(pattern), "n": args.n})
     t0 = time.perf_counter()
@@ -292,12 +297,12 @@ def _suite_gf(report: ReportDocument, cap: int) -> None:
     report.timings["gf"] = time.perf_counter() - t0
 
 
-def _check_bounds(report: ReportDocument, tol: float) -> list[dict[str, Any]]:
+def _check_bounds(report: ReportDocument) -> list[dict[str, Any]]:
     """Add one check per row of BOUND_ROWS; returns the certified rows."""
     rows = []
     for name, gf, reference, tolerance in BOUND_ROWS:
         try:
-            bound = growth_bound(gf, tol=tol)
+            bound = growth_bound(gf)
         except CertificateError as exc:
             report.add(name, False, f"certificate failed: {exc}")
             continue
@@ -314,10 +319,10 @@ def _check_bounds(report: ReportDocument, tol: float) -> list[dict[str, Any]]:
     return rows
 
 
-def _suite_roots(report: ReportDocument, tol: float) -> None:
+def _suite_roots(report: ReportDocument) -> None:
     t0 = time.perf_counter()
-    _check_bounds(report, tol)
-    est = certified_smallest_root(series.PAIR_SERIES_CAB.den, tol=tol)
+    _check_bounds(report)
+    est = certified_smallest_root(series.PAIR_SERIES_CAB.den)
     report.add(
         "alpha-digits",
         abs(est.value - 0.2695867676) <= 1e-9,
@@ -333,26 +338,14 @@ def _suite_roots(report: ReportDocument, tol: float) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if _over_cap("--n", args.n, wordlang.LEMMA_CAP) or _over_cap(
-        "--cap-pairs", args.cap_pairs, wordlang.DEFAULT_PAIR_CAP
+    # Below n = 1 the sweeps check no avoider, and below a total length of
+    # 2 no pair: every such check would run over an empty range and pass.
+    if _outside("--n", args.n, 1, wordlang.LEMMA_CAP) or _outside(
+        "--cap-pairs", args.cap_pairs, 2, wordlang.DEFAULT_PAIR_CAP
     ):
         return 2
-    if args.cap_pairs < 2:
-        # The shortest pair has total length 2: below it every pair check
-        # would run over an empty range and pass.
-        print(
-            f"error: --cap-pairs must be at least 2, got {args.cap_pairs}",
-            file=sys.stderr,
-        )
-        return 2
     report = ReportDocument(
-        "verify",
-        {
-            "suite": args.suite,
-            "n": args.n,
-            "cap_pairs": args.cap_pairs,
-            "tol_alpha": args.tol_alpha,
-        },
+        "verify", {"suite": args.suite, "n": args.n, "cap_pairs": args.cap_pairs}
     )
     if args.suite in ("injectivity", "all"):
         _suite_injectivity(report, args.n)
@@ -361,24 +354,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite in ("gf", "all"):
         _suite_gf(report, args.cap_pairs)
     if args.suite in ("roots", "all"):
-        _suite_roots(report, args.tol_alpha)
+        _suite_roots(report)
     _emit(report, args.format, args.out)
     return 0 if report.ok else 1
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    if _over_cap("--n", args.n, COUNT_CAP_1324):
+    # Below n = 1 the chain check runs over no length and passes.
+    if _outside("--n", args.n, 1, COUNT_CAP_1324):
         return 2
-    report = ReportDocument("reproduce", {"n": args.n, "cap_pairs": args.cap_pairs})
+    report = ReportDocument("reproduce", {"n": args.n})
     t0 = time.perf_counter()
-    report.tables["bounds"] = _check_bounds(report, args.tol_alpha)
+    report.tables["bounds"] = _check_bounds(report)
     report.timings["bounds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cap = max(args.cap_pairs, 2 * args.n)
-    h = expand(series.PAIR_SERIES_CAB, cap)
-    k = expand(series.PAIR_SERIES_CABB, cap)
-    t = expand(series.PAIR_SERIES_CAB_RUN, cap)
+    h = expand(series.PAIR_SERIES_CAB, 2 * args.n)
+    k = expand(series.PAIR_SERIES_CABB, 2 * args.n)
+    t = expand(series.PAIR_SERIES_CAB_RUN, 2 * args.n)
     chain_rows = []
     chain_ok = True
     for n in range(1, args.n + 1):
@@ -433,19 +426,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("injectivity", "lemmas", "gf", "roots", "all"),
         default="all",
     )
-    p_verify.add_argument("--n", type=int, default=8, help=f"<= {wordlang.LEMMA_CAP}")
+    p_verify.add_argument("--n", type=int, default=8, help=f"1..{wordlang.LEMMA_CAP}")
     p_verify.add_argument(
         "--cap-pairs", type=int, default=12, help=f"2..{wordlang.DEFAULT_PAIR_CAP}"
     )
-    p_verify.add_argument("--tol-alpha", type=float, default=1e-11)
     p_verify.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_rep = sub.add_parser("reproduce", help="reproduce bound table and count chain")
-    p_rep.add_argument("--n", type=int, default=10, help=f"chain length (<= {COUNT_CAP_1324})")
-    p_rep.add_argument("--cap-pairs", type=int, default=14)
-    p_rep.add_argument("--tol-alpha", type=float, default=1e-11)
+    p_rep.add_argument("--n", type=int, default=10, help=f"chain length (1..{COUNT_CAP_1324})")
     p_rep.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_rep.add_argument("--out", default=None)
     p_rep.set_defaults(func=cmd_reproduce)
@@ -456,9 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", 0) < 0:
-        print("error: --n must be nonnegative", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ValueError as exc:

@@ -217,40 +217,14 @@ def contains(
 _PATTERN_1324 = (1, 3, 2, 4)
 
 
-def _search_1324(n: int, prefix: list[int], theta: float) -> Iterator[tuple[int, ...]]:
-    """Yield all completions of `prefix` to 1324-avoiding permutations.
-
-    `theta` is the smallest value that tops a 132 occurrence inside the
-    prefix (+inf when there is none); appending v creates a 1324 exactly
-    when some whole 132 occurrence sits below v, i.e. when v > theta.
-    """
-    n_used = len(prefix)
-    if n_used == n:
-        yield tuple(prefix)
-        return
-    used = set(prefix)
-    for v in range(1, n + 1):
-        if v > theta:
-            break
-        if v in used:
-            continue
-        # Minimum value above v that follows some value below v: appending
-        # v turns each such pair into a fresh 132 occurrence topped by it.
-        new_top: float = theta
-        armed = False
-        for u in prefix:
-            if armed and v < u < new_top:
-                new_top = u
-            elif not armed and u < v:
-                armed = True
-        prefix.append(v)
-        yield from _search_1324(n, prefix, new_top)
-        prefix.pop()
-
-
 def _search_generic(
     n: int, prefix: list[int], matcher: _PatternMatcher
 ) -> Iterator[tuple[int, ...]]:
+    """Yield every completion of `prefix` that avoids the matcher's pattern.
+
+    Plain backtracking, in lexicographic order.  It shares nothing with the
+    1324 DP, so the tests use it as the independent oracle of `_walk_1324`.
+    """
     if len(prefix) == n:
         yield tuple(prefix)
         return
@@ -381,11 +355,13 @@ def _completions_generic(q: tuple[int, ...], r: int, state: tuple[int, ...]) -> 
     return total
 
 
-def _count_generic(n: int, prefix: list[int], matcher: _PatternMatcher) -> int:
-    """Number of q-avoiding permutations of 1..n that start with `prefix`."""
+def _count_generic(n: int, prefix: list[int], q: tuple[int, ...]) -> int:
+    """Number of q-avoiding permutations of 1..n that start with `prefix`.
+
+    `q` is the pattern as a permutation of 1..k.
+    """
     if n >= _W:
         raise ValueError(f"the generic count handles n <= {_W - 1}, got {n}")
-    q = _flatten(matcher.pattern)
     state: tuple[int, ...] | None = ()
     used: list[int] = []
     for v in prefix:
@@ -402,26 +378,25 @@ def _flatten(entries: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ranks[v] for v in entries)
 
 
-@cache
-def _completions_1324(m: int, tops: tuple[int, ...]) -> int:
-    """Number of ways to finish a 1324-avoiding prefix, from its rank-compressed state.
+def _moves_1324(
+    m: int, tops: tuple[int, ...]
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Yield (i, next m, next tops) for each rank i a 1324-avoider may append.
 
-    Only the order of the r unused values matters, so each is named by its
-    rank among them.  `m` is the number of unused values below the prefix
-    minimum.  For the unused value w of rank j, let h(w) be the least used
-    value above w that follows some used value below w: appending w closes
-    a 132 occurrence topped by h(w).  `tops[j]` is the number of unused
-    values below h(w), or r when there is no such value.
+    The state of a 1324-avoiding prefix is rank-compressed: only the order
+    of the r unused values matters, so each is named by its rank among
+    them.  `m` is the number of unused values below the prefix minimum.
+    For the unused value w of rank j, let h(w) be the least used value
+    above w that follows some used value below w: appending w closes a 132
+    occurrence topped by h(w).  `tops[j]` is the number of unused values
+    below h(w), or r when there is no such value.
 
     Every 132 occurrence in a prefix that reaches this state is topped
     above all unused values (otherwise no completion avoids 1324), so
     appending w is allowed exactly when `tops[j] == r`.  The state does not
-    depend on n, so the cache serves every length.
+    depend on n.
     """
     r = len(tops)
-    if r <= 1:
-        return 1
-    total = 0
     for i in range(r):
         if tops[i] != r:
             continue
@@ -433,21 +408,48 @@ def _completions_1324(m: int, tops: tuple[int, ...]) -> int:
         del nxt[i]
         for j in range(m, i):
             nxt[j] = min(tops[j], i)
-        total += _completions_1324(min(m, i), tuple(nxt))
-    return total
+        yield i, min(m, i), tuple(nxt)
+
+
+@cache
+def _completions_1324(m: int, tops: tuple[int, ...]) -> int:
+    """Number of ways to finish a 1324-avoiding prefix from its state.
+
+    The cache serves every length, as the state does not depend on n.
+    """
+    if len(tops) <= 1:
+        return 1
+    return sum(_completions_1324(m2, tops2) for _, m2, tops2 in _moves_1324(m, tops))
+
+
+def _walk_1324(
+    m: int, tops: tuple[int, ...], unused: list[int], prefix: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """Yield every 1324-avoiding completion of `prefix`, in lexicographic order.
+
+    Follows `_moves_1324` from the prefix's state; rank i is the i-th
+    smallest of the `unused` values.
+    """
+    if not unused:
+        yield tuple(prefix)
+        return
+    for i, m2, tops2 in _moves_1324(m, tops):
+        prefix.append(unused.pop(i))
+        yield from _walk_1324(m2, tops2, unused, prefix)
+        unused.insert(i, prefix.pop())
 
 
 def count_avoiders(n: int, q: Pattern | Permutation | Sequence[int]) -> int:
     """Number of permutations of 1..n avoiding q.
 
     For 1324 a memoised dynamic program over rank-compressed prefix states
-    counts without listing the avoiders: n = 18 visits about 112k states
-    and takes 1.7 s and 47 MB on a 2-core Xeon VM.  Any other pattern
-    takes the generic DP over the windows of partial occurrences
-    (`_completions_generic`), which does not list them either: all n <= 13
-    of 4231 take 0.5 s (5.9k states, 18 MB), of any pattern of length 4
-    at most 1.2 s, and of the length-5 to length-7 patterns tried 4-9 s
-    and 33-50 MB.
+    (`_moves_1324`) counts without listing the avoiders: n = 18 visits
+    about 112k states and takes 1.7 s and 47 MB on a 2-core Xeon VM.  Any
+    other pattern takes the generic DP over the windows of partial
+    occurrences (`_completions_generic`), which does not list them either:
+    all n <= 13 of 4231 take 0.5 s (5.9k states, 18 MB), of any pattern of
+    length 4 at most 1.2 s, and of the length-5 to length-7 patterns tried
+    4-9 s and 33-50 MB.
 
     >>> count_avoiders(4, Pattern.parse("1324"))
     23
@@ -459,13 +461,11 @@ def count_avoiders(n: int, q: Pattern | Permutation | Sequence[int]) -> int:
     pattern = _flatten(_entries_of(q))
     if not pattern:
         raise ValueError("pattern must be nonempty")
-    if n == 0:
-        return 1
     if len(pattern) > n:
         return _factorial(n)
     if pattern == _PATTERN_1324:
         return _completions_1324(n, (n,) * n)
-    return _count_generic(n, [], _PatternMatcher(pattern))
+    return _count_generic(n, [], pattern)
 
 
 def dp_state_count(q: Pattern | Permutation | Sequence[int]) -> int:
@@ -487,6 +487,10 @@ def enumerate_avoiders(
 ) -> Iterator[Permutation]:
     """Yield the q-avoiding permutations of 1..n in lexicographic order.
 
+    For 1324 this walks the moves of the counting DP (`_moves_1324`)
+    without touching its cache; any other pattern takes a backtracking
+    search that tests each appended value with the pattern matcher.
+
     >>> [str(p) for p in enumerate_avoiders(3, Pattern.parse("132"))]
     ['123', '213', '231', '312', '321']
     """
@@ -495,11 +499,8 @@ def enumerate_avoiders(
     pattern = _flatten(_entries_of(q))
     if not pattern:
         raise ValueError("pattern must be nonempty")
-    if n == 0:
-        yield Permutation(())
-        return
     if pattern == _PATTERN_1324:
-        walk: Iterator[tuple[int, ...]] = _search_1324(n, [], float("inf"))
+        walk = _walk_1324(n, (n,) * n, list(range(1, n + 1)), [])
     else:
         walk = _search_generic(n, [], _PatternMatcher(pattern))
     for entries in walk:

@@ -37,11 +37,25 @@ class TestUsageErrors:
             assert code == 2, argv
             assert "capped" in err
             assert out == ""
+        # The chain check would pass over no length at all; a count of
+        # length 0 checks nothing and stays valid.
+        code, out, err = run_main(["reproduce", "--n", "0"], capsys)
+        assert code == 2
+        assert "--n must be at least 1, got 0" in err
+        assert out == ""
+        code, out, _ = run_main(["count", "--n", "0"], capsys)
+        assert code == 0
+        assert "n=0  avoiders=1" in out
 
     def test_verify_n_cap(self, capsys):
         code, out, err = run_main(["verify", "--suite", "roots", "--n", "11"], capsys)
         assert code == 2
         assert "--n capped at 10" in err
+        assert out == ""
+        # At n = 0 the sweeps would pass on no avoider at all.
+        code, out, err = run_main(["verify", "--suite", "lemmas", "--n", "0"], capsys)
+        assert code == 2
+        assert "--n must be at least 1, got 0" in err
         assert out == ""
 
     def test_verify_pair_cap(self, capsys):
@@ -59,6 +73,18 @@ class TestUsageErrors:
     def test_negative_n(self, capsys):
         code, _, err = run_main(["verify", "--suite", "lemmas", "--n", "-1"], capsys)
         assert code == 2
+
+    def test_removed_options_are_rejected(self, capsys):
+        # reproduce expands the pair series to 2n and verify certifies
+        # roots at the library's tolerance; neither takes an option for it.
+        for argv in (
+            ["reproduce", "--n", "4", "--cap-pairs", "14"],
+            ["verify", "--suite", "roots", "--tol-alpha", "1e-11"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -15,9 +15,10 @@ from permwords import (
     count_avoiders,
     enumerate_avoiders,
     left_to_right_minima,
+    perm_core,
     right_to_left_maxima,
 )
-from permwords.perm_core import _count_generic, _PatternMatcher
+from permwords.perm_core import _count_generic, _PatternMatcher, _search_generic
 
 # Avoider counts for 1324, frozen from independent runs of both engines
 # and (for n <= 8) a brute-force filter over all n! permutations; the
@@ -152,7 +153,6 @@ class TestGenericCount:
 
     def test_prefixes_match_filtered_brute_force(self):
         for pattern in ((1, 3, 2, 4), (2, 4, 1, 3), (1, 2, 3), (3, 1, 4, 2, 5)):
-            matcher = _PatternMatcher(pattern)
             for n in range(7):
                 avoiders = [
                     p
@@ -162,7 +162,7 @@ class TestGenericCount:
                 for length in range(min(n, 3) + 1):
                     for prefix in itertools.permutations(range(1, n + 1), length):
                         brute = sum(1 for p in avoiders if p[:length] == prefix)
-                        got = _count_generic(n, list(prefix), matcher)
+                        got = _count_generic(n, list(prefix), pattern)
                         assert got == brute, (pattern, n, prefix)
 
     def test_4231_is_a061552_up_to_the_cap(self):
@@ -195,11 +195,22 @@ class TestEnumerate:
             assert not brute_contains(p.entries, (1, 3, 2, 4))
 
     def test_generic_engine_matches_fast_path(self):
-        # 1324 gets a dedicated search; any other pattern takes the
-        # generic route.  Reversal maps 4231-avoiders onto 1324-avoiders,
-        # so the two engines check each other through that bijection.
+        # 1324 is listed by walking the counting DP's moves; any other
+        # pattern takes the backtracking search.  That search, run on 1324
+        # itself, is the walk's independent oracle: same avoiders, same
+        # order.  Reversal maps 4231-avoiders onto 1324-avoiders, so the
+        # two engines also check each other through that bijection.
+        matcher = _PatternMatcher((1, 3, 2, 4))
+        for n in range(9):
+            walk = [p.entries for p in enumerate_avoiders(n, (1, 3, 2, 4))]
+            assert walk == list(_search_generic(n, [], matcher)), n
         for n in range(7):
             fast = {p.entries for p in enumerate_avoiders(n, (1, 3, 2, 4))}
             generic = {p.entries for p in enumerate_avoiders(n, (4, 2, 3, 1))}
             assert {tuple(reversed(e)) for e in generic} == fast
         assert count_avoiders(8, (4, 2, 3, 1)) == COUNTS_1324[8]
+
+    def test_walk_leaves_the_count_cache_alone(self):
+        perm_core._completions_1324.cache_clear()
+        assert len(list(enumerate_avoiders(7, (1, 3, 2, 4)))) == COUNTS_1324[7]
+        assert perm_core._completions_1324.cache_info().currsize == 0
