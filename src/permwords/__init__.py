@@ -9,7 +9,7 @@ exact generating functions and certified root isolation.
 
 from __future__ import annotations
 
-from .encoder import MarkedPermutation, WordPair, color, encode, mark
+from .encoder import MarkedPermutation, WordPair, color, decode, encode, mark
 from .perm_core import (
     Pattern,
     Permutation,
@@ -77,6 +77,7 @@ __all__ = [
     "count_avoiders",
     "count_nocb_words",
     "count_segments_nocb",
+    "decode",
     "encode",
     "enumerate_avoiders",
     "expand",

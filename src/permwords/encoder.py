@@ -16,13 +16,16 @@ rules above assigned.
 
 A permutation p yields two words: w(p) lists letters by position, z(p)
 lists letters by value (its i-th letter belongs to the entry of value i).
+
+On 1324-avoiders `decode` inverts the encoding in both modes: the reds
+form a 132-avoider fixed by its As (its left-to-right minima), and the
+blues a 213-avoider fixed by its Ds (its right-to-left maxima).
 """
 
 from __future__ import annotations
 
-import json
 import warnings
-from bisect import bisect_left
+from bisect import bisect, bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
@@ -39,6 +42,7 @@ __all__ = [
     "Mode",
     "WordPair",
     "color",
+    "decode",
     "encode",
     "mark",
 ]
@@ -78,23 +82,6 @@ class MarkedPermutation:
     def word_pair(self) -> WordPair:
         by_value = sorted(range(len(self.perm)), key=lambda i: self.perm.entries[i])
         return WordPair(self.letters, "".join(self.letters[i] for i in by_value))
-
-    def to_json(self) -> str:
-        doc = {
-            "entries": list(self.perm.entries),
-            "colors": self.colors,
-            "letters": self.letters,
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MarkedPermutation":
-        doc = json.loads(text)
-        return cls(
-            Permutation(tuple(doc["entries"])),
-            doc["colors"],
-            doc["letters"],
-        )
 
 
 class _Below132Tracker:
@@ -204,6 +191,50 @@ def encode(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> WordPai
     WordPair(w='ABABDCD', z='ABACDBD')
     """
     return mark(p, mode=mode).word_pair()
+
+
+def decode(w: str, z: str) -> tuple[int, ...]:
+    """Rebuild the permutation that encodes to (w, z), in either mode.
+
+    Positions come from w and values from z; A and B mark reds, C and D
+    blues.  Left to right, each A takes the largest A value left and each
+    B the least unused B value above the last A.  Right to left, each D
+    takes the smallest D value left and each C the greatest unused C
+    value below the last D.  Raises ValueError when the letters cannot be
+    filled in this way; a pair outside the image may still decode, to a
+    permutation that does not encode back to it.
+
+    >>> decode("ABABDCD", "ABACDBD")
+    (3, 6, 1, 2, 7, 4, 5)
+    >>> decode("ABABBCD", "ABACDBB")
+    (3, 6, 1, 2, 7, 4, 5)
+    """
+    if sorted(w) != sorted(z) or not set(z) <= set("ABCD"):
+        raise ValueError(f"w={w!r} and z={z!r} are not anagrams over ABCD")
+    by_letter: dict[str, list[int]] = {"A": [], "B": [], "C": [], "D": []}
+    for v, letter in enumerate(z, 1):
+        by_letter[letter].append(v)
+    a_vals, b_vals, c_vals, d_vals = by_letter.values()
+    out = [0] * len(w)
+    low = len(w) + 1
+    for i, letter in enumerate(w):
+        if letter == "A":
+            out[i] = low = a_vals.pop()
+        elif letter == "B":
+            j = bisect(b_vals, low)
+            if j == len(b_vals):
+                raise ValueError(f"no B value above {low} left for position {i + 1}")
+            out[i] = b_vals.pop(j)
+    high = 0
+    for i in range(len(w) - 1, -1, -1):
+        if w[i] == "D":
+            out[i] = high = d_vals.pop(0)
+        elif w[i] == "C":
+            j = bisect(c_vals, high) - 1
+            if j < 0:
+                raise ValueError(f"no C value below {high} left for position {i + 1}")
+            out[i] = c_vals.pop(j)
+    return tuple(out)
 
 
 if __name__ == "__main__":

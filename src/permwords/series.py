@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 __all__ = [
     "IntPolynomial",
@@ -112,31 +112,6 @@ class IntPolynomial:
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def format_terms(self, *, descending: bool = False) -> str:
-        """Human-readable form, e.g. "1-3x+x^2", for eyeballing fixtures."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        indices: Iterable[int] = range(len(self.coeffs))
-        if descending:
-            indices = reversed(range(len(self.coeffs)))
-        for i in indices:
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                x = "x" if i == 1 else f"x^{i}"
-                body = x if mag == 1 else f"{mag}{x}"
-            parts.append((sign, body))
-        text = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
 
 
 def _poly(*coeffs: int) -> IntPolynomial:

@@ -76,7 +76,7 @@ def has_cb_factor(v: str) -> bool:
     return "CB" in _require_word(v)
 
 
-def segments(v: str, *, warn_on_prefix: bool = False) -> list[str]:
+def segments(v: str) -> list[str]:
     """Split v into its segments, dropping anything before the first A.
 
     >>> segments("ABBDCACDB")
@@ -84,28 +84,7 @@ def segments(v: str, *, warn_on_prefix: bool = False) -> list[str]:
     >>> segments("BCD")
     []
     """
-    _require_word(v)
-    first = v.find("A")
-    if first < 0:
-        if v and warn_on_prefix:
-            import warnings
-
-            warnings.warn(f"word {v!r} has no A; no segments", stacklevel=2)
-        return []
-    if first > 0 and warn_on_prefix:
-        import warnings
-
-        warnings.warn(
-            f"word {v!r} has {first} letter(s) before its first A", stacklevel=2
-        )
-    out = []
-    start = first
-    for i in range(first + 1, len(v)):
-        if v[i] == "A":
-            out.append(v[start:i])
-            start = i
-    out.append(v[start:])
-    return out
+    return ["A" + rest for rest in _require_word(v).split("A")[1:]]
 
 
 def count_segments_nocb(n: int) -> int:
@@ -187,12 +166,15 @@ def cab_run_length(w: str, i: int) -> int:
 
 
 def _runs_compatible(runs: list[int], b_counts: list[int], rules: PairRule) -> bool:
+    run_rule = PairRule.RUN_NEEDS_MATCH in rules
+    cab_rule = PairRule.CAB_NEEDS_B in rules
+    cabb_rule = PairRule.CABB_NEEDS_BB in rules
     for run, bs in zip(runs, b_counts):
-        if PairRule.RUN_NEEDS_MATCH in rules and bs < run:
+        if run_rule and bs < run:
             return False
-        if PairRule.CAB_NEEDS_B in rules and run >= 1 and bs < 1:
+        if cab_rule and run >= 1 and bs < 1:
             return False
-        if PairRule.CABB_NEEDS_BB in rules and run >= 2 and bs < 2:
+        if cabb_rule and run >= 2 and bs < 2:
             return False
     return True
 
@@ -361,16 +343,19 @@ def _all_pairs(n: int) -> Iterator[tuple[str, str]]:
 
 @dataclass(frozen=True)
 class AvoiderPairReport:
-    """Outcome of screening the encoded pairs of all 1324-avoiders."""
+    """Outcome of screening the encoded pairs of all 1324-avoiders.
+
+    violations maps each rule set ("cab", "cabb", "cab_k") to the
+    (p, w, z) that break it.
+    """
 
     n: int
-    rule: str
     checked: int
-    violations: tuple[tuple[str, str, str], ...]
+    violations: dict[str, tuple[tuple[str, str, str], ...]]
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not any(self.violations.values())
 
 
 _LEMMA_RULES = {
@@ -380,28 +365,28 @@ _LEMMA_RULES = {
 }
 
 
-def verify_lemma_on_avoiders(n: int, which: str = "cab_k") -> AvoiderPairReport:
-    """Check one pair rule against every encoded 1324-avoider of length n.
+def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
+    """Check every rule set against every encoded 1324-avoider of length n.
 
-    `which` is "cab", "cabb", or "cab_k".  Encoding uses rule4prime mode.
+    Each avoider is encoded once, in rule4prime mode, and its pair is
+    screened under "cab", "cabb" and "cab_k" in turn.
+
+    >>> verify_lemma_on_avoiders(4).violations
+    {'cab': (), 'cabb': (), 'cab_k': ()}
     """
-    if which not in _LEMMA_RULES:
-        raise ValueError(f"unknown rule set {which!r}; pick from {sorted(_LEMMA_RULES)}")
     if not 0 <= n <= LEMMA_CAP:
         raise ValueError(f"n must be within 0..{LEMMA_CAP}; larger sweeps take too long")
-    rules = _LEMMA_RULES[which]
-    if n == 0:
-        # The empty permutation encodes to empty words, outside the pair
-        # language (every member starts with A); nothing to check.
-        return AvoiderPairReport(0, which, 0, ())
+    violations: dict[str, list[tuple[str, str, str]]] = {r: [] for r in _LEMMA_RULES}
     checked = 0
-    violations = []
-    for p in enumerate_avoiders(n, (1, 3, 2, 4)):
+    # The empty permutation encodes to empty words, outside the pair
+    # language (every member starts with A); nothing to check at n = 0.
+    for p in enumerate_avoiders(n, (1, 3, 2, 4)) if n else ():
         w, z = encode(p)
         checked += 1
-        if not check_pair(w, z, rules):
-            violations.append((str(p), w, z))
-    return AvoiderPairReport(n, which, checked, tuple(violations))
+        for name, rules in _LEMMA_RULES.items():
+            if not check_pair(w, z, rules):
+                violations[name].append((str(p), w, z))
+    return AvoiderPairReport(n, checked, {r: tuple(v) for r, v in violations.items()})
 
 
 if __name__ == "__main__":

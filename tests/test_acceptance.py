@@ -76,6 +76,8 @@ def test_criterion_02_encoding_soundness(marked_by_mode):
 
 
 def test_criterion_03_injectivity(marked_by_mode):
+    # A set of every pair, kept on purpose: it is the independent oracle of
+    # encoder.decode, whose round trip is how `verify` checks injectivity.
     for mode in ("plain", "rule4prime"):
         pairs = [
             m.word_pair() for n in range(1, 10) for m in marked_by_mode[mode][n]

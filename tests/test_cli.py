@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from permwords import brute_count_pairs, cli, perm_core
+from permwords import brute_count_pairs, cli, perm_core, wordlang
 
 
 def run_main(argv, capsys):
@@ -164,7 +164,46 @@ class TestVerify:
     def test_lemmas_suite_small(self, capsys):
         code, out, _ = run_main(["verify", "--suite", "lemmas", "--n", "5"], capsys)
         assert code == 0
-        assert "avoider-pairs-cab" in out
+        for rule in ("cab", "cabb", "cab-k"):
+            assert f"PASS  avoider-pairs-{rule}: 135 avoiders checked for n<=5, 0 violations" in out
+
+    def test_lemmas_suite_reports_violations(self, capsys, monkeypatch):
+        monkeypatch.setattr(wordlang, "check_pair", lambda w, z, rules: False)
+        code, out, _ = run_main(["verify", "--suite", "lemmas", "--n", "2"], capsys)
+        assert code == 1
+        for rule in ("cab", "cabb", "cab-k"):
+            assert (
+                f"FAIL  avoider-pairs-{rule}: 3 avoiders checked for n<=2, violations: "
+                "[\"n=1:('1', 'A', 'A')\", \"n=2:('12', 'AD', 'AD')\", "
+                "\"n=2:('21', 'AA', 'AA')\"]"
+            ) in out
+
+    def test_injectivity_suite_small(self, capsys):
+        code, out, _ = run_main(["verify", "--suite", "injectivity", "--n", "6"], capsys)
+        assert code == 0
+        for mode in ("plain", "rule4prime"):
+            assert f"PASS  injectivity-{mode}: 648 avoiders with n<=6 map to distinct pairs" in out
+
+    def test_injectivity_suite_fails_on_a_wrong_decode(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "decode", lambda w, z: tuple(range(len(w), 0, -1)))
+        code, out, _ = run_main(["verify", "--suite", "injectivity", "--n", "3"], capsys)
+        assert code == 1
+        for mode, w in (("plain", "AB"), ("rule4prime", "AD")):
+            assert f"FAIL  injectivity-{mode}: round trip fails at 12 -> ({w}, {w}) decodes to (2, 1)" in out
+
+    def test_injectivity_suite_fails_when_decode_raises(self, capsys, monkeypatch):
+        def refuse(w, z):
+            raise ValueError("no B value above 1 left for position 2")
+
+        monkeypatch.setattr(cli, "decode", refuse)
+        code, out, err = run_main(["verify", "--suite", "injectivity", "--n", "3"], capsys)
+        assert code == 1
+        assert err == ""
+        for mode in ("plain", "rule4prime"):
+            assert (
+                f"FAIL  injectivity-{mode}: round trip fails at 1 -> (A, A) does not "
+                "decode: no B value above 1 left for position 2"
+            ) in out
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         # Same machinery, impossible reference value: the report must

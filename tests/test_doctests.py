@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +24,9 @@ MODULES = (
 def test_module_doctests(module):
     results = doctest.testmod(module)
     assert results.failed == 0
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    results = doctest.testfile(str(readme), module_relative=False)
+    assert results.attempted > 0 and results.failed == 0

@@ -12,6 +12,7 @@ from permwords import (
     Permutation,
     WordPair,
     color,
+    decode,
     encode,
     left_to_right_minima,
     mark,
@@ -175,12 +176,25 @@ class TestWordPair:
             by_value = sorted(range(len(entries)), key=lambda i: entries[i])
             assert z == "".join(m.letters[i] for i in by_value)
 
-    def test_json_roundtrip(self):
-        m = mark(Permutation.parse("3612745"))
-        assert MarkedPermutation.from_json(m.to_json()) == m
-
 
 class TestInjectivity:
+    def test_decode_inverts_encoding(self, marked_by_mode):
+        for mode in ("plain", "rule4prime"):
+            for marks in marked_by_mode[mode].values():
+                for m in marks:
+                    assert decode(*m.word_pair()) == m.perm.entries, (mode, str(m.perm))
+
+    def test_decode_rejects_pairs_it_cannot_invert(self):
+        for w, z in (
+            ("AB", "AC"),  # not anagrams
+            ("BA", "AB"),  # a B before any A
+            ("AAB", "BAA"),  # no B value above the last A
+            ("ACD", "ADC"),  # no C value below the last D
+            ("AX", "XA"),  # not a word over ABCD
+        ):
+            with pytest.raises(ValueError):
+                decode(w, z)
+
     def test_small_collisions_counted(self, marked_by_mode):
         # Unit-scale slice; the acceptance suite covers the full corpus.
         for mode in ("plain", "rule4prime"):

@@ -18,6 +18,7 @@ from permwords import (
     has_cb_factor,
     segments,
     verify_lemma_on_avoiders,
+    wordlang,
 )
 from permwords.wordlang import ALPHABET, _all_pairs, _cab_runs, _tables_up_to, _words
 
@@ -50,8 +51,6 @@ class TestFactorsAndSegments:
     def test_segments_drop_leading_non_a(self):
         assert segments("CDAB") == ["AB"]
         assert segments("CD") == []
-        with pytest.warns(UserWarning):
-            segments("CDAB", warn_on_prefix=True)
 
     @given(words)
     @settings(max_examples=300, deadline=None)
@@ -212,19 +211,26 @@ class TestPairCounting:
 class TestLemmaOnAvoiders:
     def test_reports_clean_at_small_sizes(self):
         for n in range(0, 8):
-            for which in ("cab", "cabb", "cab_k"):
-                report = verify_lemma_on_avoiders(n, which)
-                assert report.ok, report
-                assert report.violations == ()
+            report = verify_lemma_on_avoiders(n)
+            assert report.ok, report
+            assert report.violations == {"cab": (), "cabb": (), "cab_k": ()}
 
     def test_checked_counts_match_avoider_counts(self):
         report = verify_lemma_on_avoiders(7)
         assert report.checked == 2762
-        assert report.rule == "cab_k"
+        assert report.n == 7
+
+    def test_violations_are_keyed_by_rule(self, monkeypatch):
+        # ACAB has a CAB run; AA's segments have no B, so the CAB rules
+        # reject the pair while the base test alone would pass it.
+        monkeypatch.setattr(wordlang, "encode", lambda p: ("ACAB", "AA"))
+        report = verify_lemma_on_avoiders(2)
+        assert not report.ok
+        assert report.checked == 2
+        for rule in ("cab", "cabb", "cab_k"):
+            assert report.violations[rule] == (("12", "ACAB", "AA"), ("21", "ACAB", "AA"))
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            verify_lemma_on_avoiders(3, "nope")
         with pytest.raises(ValueError):
             verify_lemma_on_avoiders(11)
 
