@@ -140,7 +140,8 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
-def _emit(report: ReportDocument, fmt: str, out: str | None) -> None:
+def _emit(report: ReportDocument, fmt: str, out: str | None, code: int) -> int:
+    """Print the report and write its JSON to `out`; return code, or 2 if out fails."""
     if fmt == "json":
         print(report.to_json())
     elif fmt == "csv":
@@ -148,8 +149,13 @@ def _emit(report: ReportDocument, fmt: str, out: str | None) -> None:
     else:
         print(report.render_plain())
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json() + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out {out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    return code
 
 
 def _outside(flag: str, value: int, lo: int, cap: int) -> bool:
@@ -181,8 +187,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     report.tables["avoider-counts"] = rows
     report.timings["count"] = time.perf_counter() - t0
     report.counters["dp_states"] = dp_state_count(pattern)
-    _emit(report, args.format, args.out)
-    return 0
+    return _emit(report, args.format, args.out, 0)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
@@ -230,6 +235,8 @@ def _suite_injectivity(report: ReportDocument, n_max: int) -> None:
                     continue
                 if back != p.entries:
                     failure.setdefault(mode, f"{p} -> ({w}, {z}) decodes to {back}")
+    report.counters["injectivity_avoiders"] = total
+    report.counters["pairs_decoded"] = total * len(modes)
     for mode in modes:
         report.add(
             f"injectivity-{mode}",
@@ -250,6 +257,8 @@ def _suite_lemmas(report: ReportDocument, n_max: int) -> None:
         checked += r.checked
         for rule, violations in r.violations.items():
             bad.setdefault(rule, []).extend(f"n={n}:{v}" for v in violations)
+    # One encoded pair per avoider, each through one base screen.
+    report.counters["lemma_avoiders"] = report.counters["pairs_screened"] = checked
     for rule, found in bad.items():
         report.add(
             f"avoider-pairs-{rule.replace('_', '-')}",
@@ -359,8 +368,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _suite_gf(report, args.cap_pairs)
     if args.suite in ("roots", "all"):
         _suite_roots(report)
-    _emit(report, args.format, args.out)
-    return 0 if report.ok else 1
+    return _emit(report, args.format, args.out, 0 if report.ok else 1)
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -400,8 +408,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     )
     report.timings["chain"] = time.perf_counter() - t0
     report.counters["dp_states"] = dp_state_count((1, 3, 2, 4))
-    _emit(report, args.format, args.out)
-    return 0 if report.ok else 1
+    return _emit(report, args.format, args.out, 0 if report.ok else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

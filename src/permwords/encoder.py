@@ -2,17 +2,21 @@
 
 Entries are colored left to right: an entry is blue exactly when coloring
 it red would create a 132 pattern among the red entries, so the red
-subsequence always avoids 132.  Letters then refine the colors:
+subsequence always avoids 132.  The best 1 for a red 3 is the red minimum
+before it, so one pass keeps the values between the two as the bits of
+one int, and an entry is blue when its bit is set.  Letters then refine
+the colors:
 
 - A: red entry that is a left-to-right minimum of the red subsequence;
 - B: any other red entry;
 - D: blue entry that is a right-to-left maximum of the blue subsequence;
 - C: any other blue entry.
 
-The "rule4prime" mode applies one more pass: every entry that is a
+The "rule4prime" mode applies one more rule: every entry that is a
 right-to-left maximum of the whole permutation but not a left-to-right
 minimum of it is forced blue with letter D, overriding the letter the
-rules above assigned.
+rules above assigned.  `mark` sets A/B in the coloring pass, and C/D and
+this override in one pass from the right.
 
 A permutation p yields two words: w(p) lists letters by position, z(p)
 lists letters by value (its i-th letter belongs to the entry of value i).
@@ -25,17 +29,12 @@ blues a 213-avoider fixed by its Ds (its right-to-left maxima).
 from __future__ import annotations
 
 import warnings
-from bisect import bisect, bisect_left
+from bisect import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
-from .perm_core import (
-    Permutation,
-    _entries_of,
-    left_to_right_minima,
-    right_to_left_maxima,
-)
+from .perm_core import Permutation, _entries_of
 
 __all__ = [
     "MarkedPermutation",
@@ -57,6 +56,10 @@ class WordPair(NamedTuple):
     z: str
 
 
+# Letter -> color for str.translate; a stray letter R is deleted, not kept.
+_COLOR_OF = str.maketrans({"A": "R", "B": "R", "C": "B", "D": "B", "R": None})
+
+
 @dataclass(frozen=True)
 class MarkedPermutation:
     """A permutation with its per-entry colors and letters.
@@ -71,68 +74,62 @@ class MarkedPermutation:
 
     def __post_init__(self) -> None:
         n = len(self.perm)
-        if len(self.colors) != n or len(self.letters) != n:
+        colors, letters = self.colors, self.letters
+        if (
+            len(colors) == n == len(letters)
+            and not colors.strip("RB")
+            and letters.translate(_COLOR_OF) == colors
+        ):
+            return
+        # Something is wrong; the loop below only picks the message.
+        if len(colors) != n or len(letters) != n:
             raise ValueError("colors and letters must match the permutation length")
-        if set(self.colors) - set("RB") or set(self.letters) - set("ABCD"):
+        if set(colors) - set("RB") or set(letters) - set("ABCD"):
             raise ValueError("colors must be R/B and letters must be A/B/C/D")
-        for c, letter in zip(self.colors, self.letters):
+        for c, letter in zip(colors, letters):
             if (letter in "AB") != (c == "R"):
                 raise ValueError(f"letter {letter} cannot sit on color {c}")
 
     def word_pair(self) -> WordPair:
-        by_value = sorted(range(len(self.perm)), key=lambda i: self.perm.entries[i])
-        return WordPair(self.letters, "".join(self.letters[i] for i in by_value))
+        z = [""] * len(self.letters)
+        for v, letter in zip(self.perm.entries, self.letters):
+            z[v - 1] = letter
+        return WordPair(self.letters, "".join(z))
 
 
-class _Below132Tracker:
-    """Answers "would x, appended now, be the final 2 of a 132 pattern?".
+def _red_letters(entries: tuple[int, ...]) -> list[str]:
+    """One greedy pass: A or B on each red entry, C on each blue one.
 
-    Feeding values left to right, the question for x is whether some fed
-    pair a before c has a < x < c.  A stack of (cap, floor) intervals is
-    kept where cap is a fed value and floor the minimum fed before it;
-    caps strictly decrease toward the top while floors never increase, so
-    later intervals contain any earlier ones they outgrow and a binary
-    search settles each query.
+    A red x bars the values between the red minimum before it and itself,
+    as each would be the 2 of a 132 with that minimum and x.  A red below
+    the red minimum is an A, any other red a B.
     """
-
-    def __init__(self) -> None:
-        self._caps: list[int] = []
-        self._floors: list[int] = []
-        self._min: int | None = None
-
-    def completes_132(self, x: int) -> bool:
-        # Deepest interval with cap above x has the smallest floor.
-        caps = self._caps
-        idx = bisect_left(caps, -x, key=lambda c: -c)
-        return idx > 0 and self._floors[idx - 1] < x
-
-    def push(self, x: int) -> None:
-        caps, floors = self._caps, self._floors
-        while caps and caps[-1] <= x:
-            caps.pop()
-            floors.pop()
-        if self._min is not None and self._min < x:
-            caps.append(x)
-            floors.append(self._min)
-        if self._min is None or x < self._min:
-            self._min = x
+    out = []
+    barred = 0
+    low = max(entries, default=0) + 1  # the red minimum so far
+    for x in entries:
+        if barred >> x & 1:
+            out.append("C")
+        elif x < low:
+            out.append("A")
+            low = x
+        else:
+            out.append("B")
+            barred |= (1 << x) - (2 << low)  # bits low+1 .. x-1
+    return out
 
 
 def color(p: Permutation | Sequence[int]) -> str:
     """Greedy red/blue coloring, one character per position.
 
+    An entry is blue exactly when its value is barred: some earlier red
+    entry lies above it with a smaller red entry before that one.  The
+    barred values are the bits of one int, one bit test per entry.
+
     >>> color(Permutation.parse("3612745"))
     'RRRRRBB'
     """
-    tracker = _Below132Tracker()
-    out = []
-    for x in _entries_of(p):
-        if tracker.completes_132(x):
-            out.append("B")
-        else:
-            out.append("R")
-            tracker.push(x)
-    return "".join(out)
+    return "".join(_red_letters(_entries_of(p))).translate(_COLOR_OF)
 
 
 def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPermutation:
@@ -143,43 +140,32 @@ def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPer
     >>> mark(Permutation.parse("3612745")).letters
     'ABABDCD'
     """
+    if mode not in ("plain", "rule4prime"):
+        raise ValueError(f"unknown mode: {mode!r}")
     perm = p if isinstance(p, Permutation) else Permutation(_entries_of(p))
     entries = perm.entries
-    colors = list(color(entries))
-    letters = [""] * len(entries)
-
-    red_min: int | None = None
-    blue_max: int | None = None
-    for i in range(len(entries)):
-        if colors[i] == "R" and (red_min is None or entries[i] < red_min):
-            letters[i] = "A"
-            red_min = entries[i]
-        elif colors[i] == "R":
-            letters[i] = "B"
+    letters = _red_letters(entries)
+    # Right to left: C or D on each blue, and rule (4') on each right-to-left
+    # maximum above an entry before it (not a left-to-right minimum).
+    blue_max = high = 0
+    forced = mode == "rule4prime"
     for i in range(len(entries) - 1, -1, -1):
-        if colors[i] == "B":
-            if blue_max is None or entries[i] > blue_max:
-                letters[i] = "D"
-                blue_max = entries[i]
-            else:
-                letters[i] = "C"
-
-    if mode == "rule4prime":
-        forced = set(right_to_left_maxima(entries)) - set(left_to_right_minima(entries))
-        for pos in forced:
-            i = pos - 1
-            if letters[i] not in ("B", "D"):
-                warnings.warn(
-                    f"rule (4') hit a {letters[i]}-entry at position {pos} of "
-                    f"{perm}; only B entries are expected to flip",
-                    stacklevel=2,
-                )
-            colors[i] = "B"
+        x = entries[i]
+        if letters[i] == "C" and x > blue_max:
             letters[i] = "D"
-    elif mode != "plain":
-        raise ValueError(f"unknown mode: {mode!r}")
-
-    return MarkedPermutation(perm, "".join(colors), "".join(letters))
+            blue_max = x
+        if x > high:
+            high = x
+            if forced and i and x > min(entries[:i]):
+                if letters[i] not in ("B", "D"):
+                    warnings.warn(
+                        f"rule (4') hit a {letters[i]}-entry at position {i + 1} of "
+                        f"{perm}; only B entries are expected to flip",
+                        stacklevel=2,
+                    )
+                letters[i] = "D"
+    word = "".join(letters)
+    return MarkedPermutation(perm, word.translate(_COLOR_OF), word)
 
 
 def encode(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> WordPair:
@@ -209,12 +195,21 @@ def decode(w: str, z: str) -> tuple[int, ...]:
     >>> decode("ABABBCD", "ABACDBB")
     (3, 6, 1, 2, 7, 4, 5)
     """
-    if sorted(w) != sorted(z) or not set(z) <= set("ABCD"):
-        raise ValueError(f"w={w!r} and z={z!r} are not anagrams over ABCD")
-    by_letter: dict[str, list[int]] = {"A": [], "B": [], "C": [], "D": []}
+    a_vals, b_vals, c_vals, d_vals = [], [], [], []
     for v, letter in enumerate(z, 1):
-        by_letter[letter].append(v)
-    a_vals, b_vals, c_vals, d_vals = by_letter.values()
+        if letter == "A":
+            a_vals.append(v)
+        elif letter == "B":
+            b_vals.append(v)
+        elif letter == "C":
+            c_vals.append(v)
+        else:
+            d_vals.append(v)
+    # A letter of z outside ABCD landed in d_vals; z.count("D") tells it apart.
+    counts = (len(a_vals), len(b_vals), len(c_vals), len(d_vals))
+    if len(w) != len(z) or counts != tuple(map(w.count, "ABCD")) or counts[3] != z.count("D"):
+        raise ValueError(f"w={w!r} and z={z!r} are not anagrams over ABCD")
+    d_vals.reverse()  # right to left, each D takes the smallest left
     out = [0] * len(w)
     low = len(w) + 1
     for i, letter in enumerate(w):
@@ -228,7 +223,7 @@ def decode(w: str, z: str) -> tuple[int, ...]:
     high = 0
     for i in range(len(w) - 1, -1, -1):
         if w[i] == "D":
-            out[i] = high = d_vals.pop(0)
+            out[i] = high = d_vals.pop()
         elif w[i] == "C":
             j = bisect(c_vals, high) - 1
             if j < 0:

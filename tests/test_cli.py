@@ -86,6 +86,20 @@ class TestUsageErrors:
             assert exc.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        # The report still prints; the failed write is a usage error,
+        # not a failed check, and leaves no traceback.
+        target = tmp_path / "missing" / "report.json"
+        for argv, shown in (
+            (["count", "--n", "3"], "n=3  avoiders=6"),
+            (["verify", "--suite", "roots"], "PASS  bound-cab:"),
+        ):
+            code, out, err = run_main([*argv, "--out", str(target)], capsys)
+            assert code == 2, argv
+            assert shown in out
+            assert err == f"error: cannot write --out {target}: No such file or directory\n"
+            assert not target.parent.exists()
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -183,6 +197,20 @@ class TestVerify:
         assert code == 0
         for mode in ("plain", "rule4prime"):
             assert f"PASS  injectivity-{mode}: 648 avoiders with n<=6 map to distinct pairs" in out
+
+    def test_sweeps_count_their_work(self, capsys):
+        def counters(suite):
+            argv = ["verify", "--suite", suite, "--n", "6", "--cap-pairs", "8", "--format", "json"]
+            code, out, _ = run_main(argv, capsys)
+            assert code == 0, suite
+            return json.loads(out)["counters"]
+
+        walked = {"injectivity_avoiders": 648, "pairs_decoded": 1296}
+        screened = {"lemma_avoiders": 648, "pairs_screened": 648}
+        assert counters("injectivity") == walked
+        assert counters("lemmas") == screened
+        # --suite all keeps the two walks apart.
+        assert counters("all") == {**walked, **screened, "signature_keys": 311}
 
     def test_injectivity_suite_fails_on_a_wrong_decode(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "decode", lambda w, z: tuple(range(len(w), 0, -1)))

@@ -82,8 +82,20 @@ class TestMark:
             mark((1, 2), mode="bogus")
 
     def test_letter_color_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            MarkedPermutation(Permutation((1, 2)), "RB", "AA")
+        perm = Permutation((1, 2))
+        assert MarkedPermutation(perm, "RB", "AD").letters == "AD"
+        for colors, letters, message in (
+            ("R", "AD", "match the permutation length"),
+            ("RB", "A", "match the permutation length"),
+            ("RX", "AD", "must be R/B"),
+            ("RB", "AX", "must be R/B"),
+            ("RX", "AX", "must be R/B"),  # a letter that passes for its own color
+            ("RR", "AR", "must be R/B"),  # R is a color, not a letter
+            ("RB", "AA", "letter A cannot sit on color B"),
+            ("RR", "AC", "letter C cannot sit on color R"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                MarkedPermutation(perm, colors, letters)
 
     def test_identity_permutation(self):
         m = mark(tuple(range(1, 6)), mode="plain")
@@ -163,6 +175,37 @@ class TestLetters:
                 assert m.letters == letters_oracle(p.entries, m.colors)
 
 
+def marked_by_definition(entries: tuple[int, ...], mode: str) -> tuple[str, str]:
+    """Colors and letters from naive_color and the letter definitions.
+
+    For rule4prime, every right-to-left maximum that is not a
+    left-to-right minimum then becomes a blue D.
+    """
+    colors = naive_color(entries)
+    letters = list(letters_oracle(entries, colors))
+    colors = list(colors)
+    if mode == "rule4prime":
+        forced = set(right_to_left_maxima(entries)) - set(left_to_right_minima(entries))
+        for pos in forced:
+            colors[pos - 1], letters[pos - 1] = "B", "D"
+    return "".join(colors), "".join(letters)
+
+
+class TestKernelsAgainstDefinitions:
+    def test_every_permutation_up_to_seven(self):
+        # The oracle of mark's one-pass kernels and word_pair's inverse
+        # assignment, on every permutation, avoider or not, in both modes.
+        for n in range(8):
+            for entries in itertools.permutations(range(1, n + 1)):
+                by_value = sorted(range(n), key=lambda i: entries[i])
+                for mode in ("plain", "rule4prime"):
+                    m = mark(entries, mode=mode)
+                    colors, letters = marked_by_definition(entries, mode)
+                    assert (m.colors, m.letters) == (colors, letters), (entries, mode)
+                    z = "".join(letters[i] for i in by_value)
+                    assert m.word_pair() == WordPair(letters, z), (entries, mode)
+
+
 class TestWordPair:
     def test_encode_both_modes(self):
         assert encode("3612745", mode="plain") == WordPair("ABABBCD", "ABACDBB")
@@ -191,6 +234,8 @@ class TestInjectivity:
             ("AAB", "BAA"),  # no B value above the last A
             ("ACD", "ADC"),  # no C value below the last D
             ("AX", "XA"),  # not a word over ABCD
+            ("AD", "AX"),  # z alone is not a word over ABCD
+            ("AX", "AD"),  # w alone is not a word over ABCD
         ):
             with pytest.raises(ValueError):
                 decode(w, z)

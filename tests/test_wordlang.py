@@ -20,7 +20,14 @@ from permwords import (
     verify_lemma_on_avoiders,
     wordlang,
 )
-from permwords.wordlang import ALPHABET, _all_pairs, _cab_runs, _tables_up_to, _words
+from permwords.wordlang import (
+    ALPHABET,
+    _all_pairs,
+    _cab_runs,
+    _runs_compatible,
+    _tables_up_to,
+    _words,
+)
 
 # Frozen against the exhaustive pair generator below (n = 2..10).  The
 # rule-free counts first exceed the CAB-rule counts at n = 6, where the
@@ -42,6 +49,9 @@ class TestFactorsAndSegments:
         assert not has_cb_factor("ABCA")
         assert not has_cb_factor("CCC")
         assert not has_cb_factor("")
+        for v in ("ACBX", "x", "AB C", "ACB\n"):
+            with pytest.raises(ValueError, match="not a word over ABCD"):
+                has_cb_factor(v)
 
     def test_segments_split_before_each_a(self):
         assert segments("ABACDBD") == ["AB", "ACDBD"]
@@ -108,6 +118,26 @@ class TestCabRuns:
         assert cab_run_length("ACABBD", 1) == 2
         assert cab_run_length("ACABBC", 1) == 2
 
+    def test_matches_per_a_loop_on_every_short_word(self):
+        # Oracle for the split-based kernel: walk to each A and count the
+        # Bs after it when a C sits right before it.
+        def literal(v: str) -> list[int]:
+            runs = []
+            for i in range(len(v) - 1, -1, -1):
+                if v[i] != "A":
+                    continue
+                run = 0
+                if i > 0 and v[i - 1] == "C":
+                    while i + 1 + run < len(v) and v[i + 1 + run] == "B":
+                        run += 1
+                runs.append(run)
+            return runs
+
+        for length in range(8):
+            for letters in itertools.product(ALPHABET, repeat=length):
+                v = "".join(letters)
+                assert _cab_runs(v) == literal(v), v
+
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             cab_run_length("AB", 2)
@@ -161,6 +191,27 @@ class TestCheckPair:
     def test_non_word_rejected(self):
         with pytest.raises(ValueError):
             check_pair("AXB", "AB")
+        for w, z in (("AB", "AXB"), ("AR", "A"), ("A", "a"), ("A B", "AB")):
+            for rules in (PairRule.NONE, PairRule.RUN_NEEDS_MATCH):
+                with pytest.raises(ValueError, match="not a word over ABCD"):
+                    check_pair(w, z, rules)
+
+    def test_rule_bits_match_the_flag_definitions(self):
+        # Every combination of flags, every run and B count up to 4,
+        # against the rules as PairRule's docstring states them.
+        flags = (PairRule.CAB_NEEDS_B, PairRule.CABB_NEEDS_BB, PairRule.RUN_NEEDS_MATCH)
+        for chosen in itertools.product((False, True), repeat=3):
+            rules = PairRule.NONE
+            for flag, on in zip(flags, chosen):
+                if on:
+                    rules |= flag
+            for run, bs in itertools.product(range(5), repeat=2):
+                ok = not (
+                    (PairRule.CAB_NEEDS_B in rules and run >= 1 and bs < 1)
+                    or (PairRule.CABB_NEEDS_BB in rules and run >= 2 and bs < 2)
+                    or (PairRule.RUN_NEEDS_MATCH in rules and bs < run)
+                )
+                assert _runs_compatible([0, run], [5, bs], rules) == ok, (rules, run, bs)
 
 
 class TestPairCounting:
