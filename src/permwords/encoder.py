@@ -14,9 +14,9 @@ the colors:
 
 The "rule4prime" mode applies one more rule: every entry that is a
 right-to-left maximum of the whole permutation but not a left-to-right
-minimum of it is forced blue with letter D, overriding the letter the
-rules above assigned.  `mark` sets A/B in the coloring pass, and C/D and
-this override in one pass from the right.
+minimum of it is forced blue with letter D.  Such an entry is already a
+B or a D, so the rule only turns Bs into Ds.  `mark` sets A/B in the
+coloring pass, and C/D and this override in one pass from the right.
 
 A permutation p yields two words: w(p) lists letters by position, z(p)
 lists letters by value (its i-th letter belongs to the entry of value i).
@@ -28,7 +28,6 @@ blues a 213-avoider fixed by its Ds (its right-to-left maxima).
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -56,39 +55,30 @@ class WordPair(NamedTuple):
     z: str
 
 
-# Letter -> color for str.translate; a stray letter R is deleted, not kept.
-_COLOR_OF = str.maketrans({"A": "R", "B": "R", "C": "B", "D": "B", "R": None})
+_COLOR_OF = str.maketrans("ABCD", "RRBB")  # letter -> color, for str.translate
 
 
 @dataclass(frozen=True)
 class MarkedPermutation:
-    """A permutation with its per-entry colors and letters.
+    """A permutation with one letter per entry, from "ABCD".
 
-    colors[i] is "R" or "B"; letters[i] is one of "ABCD".  A and B always
-    sit on red entries, C and D on blue ones.
+    A and B sit on red entries, C and D on blue ones, so the colors are
+    read off the letters.
     """
 
     perm: Permutation
-    colors: str
     letters: str
 
     def __post_init__(self) -> None:
-        n = len(self.perm)
-        colors, letters = self.colors, self.letters
-        if (
-            len(colors) == n == len(letters)
-            and not colors.strip("RB")
-            and letters.translate(_COLOR_OF) == colors
-        ):
-            return
-        # Something is wrong; the loop below only picks the message.
-        if len(colors) != n or len(letters) != n:
-            raise ValueError("colors and letters must match the permutation length")
-        if set(colors) - set("RB") or set(letters) - set("ABCD"):
-            raise ValueError("colors must be R/B and letters must be A/B/C/D")
-        for c, letter in zip(colors, letters):
-            if (letter in "AB") != (c == "R"):
-                raise ValueError(f"letter {letter} cannot sit on color {c}")
+        if len(self.letters) != len(self.perm):
+            raise ValueError("letters must match the permutation length")
+        if self.letters.strip("ABCD"):
+            raise ValueError("letters must be A/B/C/D")
+
+    @property
+    def colors(self) -> str:
+        """One "R" or "B" per entry."""
+        return self.letters.translate(_COLOR_OF)
 
     def word_pair(self) -> WordPair:
         z = [""] * len(self.letters)
@@ -156,16 +146,13 @@ def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPer
             blue_max = x
         if x > high:
             high = x
+            # Rule (4') finds a B or a D here.  An A lies below every red
+            # before it, so a smaller earlier entry would be blue, and each
+            # blue has a smaller red before it.  A blue right-to-left
+            # maximum is a D.
             if forced and i and x > min(entries[:i]):
-                if letters[i] not in ("B", "D"):
-                    warnings.warn(
-                        f"rule (4') hit a {letters[i]}-entry at position {i + 1} of "
-                        f"{perm}; only B entries are expected to flip",
-                        stacklevel=2,
-                    )
                 letters[i] = "D"
-    word = "".join(letters)
-    return MarkedPermutation(perm, word.translate(_COLOR_OF), word)
+    return MarkedPermutation(perm, "".join(letters))
 
 
 def encode(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> WordPair:

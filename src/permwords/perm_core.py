@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
+from math import factorial
 
 __all__ = [
     "Pattern",
@@ -463,7 +464,7 @@ def count_avoiders(n: int, q: Pattern | Permutation | Sequence[int]) -> int:
     if not pattern:
         raise ValueError("pattern must be nonempty")
     if len(pattern) > n:
-        return _factorial(n)
+        return factorial(n)
     if pattern == _PATTERN_1324:
         return _completions_1324(n, (n,) * n)
     return _count_generic(n, [], pattern)
@@ -474,13 +475,6 @@ def dp_state_count(q: Pattern | Permutation | Sequence[int]) -> int:
     pattern = _flatten(_entries_of(q))
     engine = _completions_1324 if pattern == _PATTERN_1324 else _completions_generic
     return engine.cache_info().currsize
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def enumerate_avoiders(

@@ -48,17 +48,22 @@ LEMMA_CAP = 10
 
 
 class PairRule(enum.Flag):
-    """Optional screening rules for word pairs.
+    """Screening rules for word pairs, each refining the one before.
 
     CAB_NEEDS_B      a CAB factor demands at least one B in the matched segment
-    CABB_NEEDS_BB    a CABB factor demands at least two Bs there
-    RUN_NEEDS_MATCH  a CAB^k factor demands at least k Bs there (implies both)
+    CABB_NEEDS_BB    and a CABB factor at least two Bs there
+    RUN_NEEDS_MATCH  and a CAB^k factor at least k Bs there
+
+    The rule sets are nested: each flag holds the bits of the one before
+    (values 1, 3, 7).  Every pair the run rule admits passes the CABB rule,
+    and every pair the CABB rule admits passes the CAB rule; hence
+    S_n <= t_2n <= k_2n <= h_2n.
     """
 
     NONE = 0
-    CAB_NEEDS_B = enum.auto()
-    CABB_NEEDS_BB = enum.auto()
-    RUN_NEEDS_MATCH = enum.auto()
+    CAB_NEEDS_B = 1
+    CABB_NEEDS_BB = 3
+    RUN_NEEDS_MATCH = 7
 
 
 def _require_word(v: str) -> str:
@@ -167,18 +172,15 @@ def cab_run_length(w: str, i: int) -> int:
     return runs[i - 1]
 
 
-_CAB = PairRule.CAB_NEEDS_B.value
-_CABB = PairRule.CABB_NEEDS_BB.value
-_RUN = PairRule.RUN_NEEDS_MATCH.value
+# Bs a CAB run asks of its matched segment, by the rules' highest bit: a
+# run of k Bs needs min(k, need) of them.
+_NEED_BY_TOP_BIT = (0, 1, 2, float("inf"))
 
 
 def _runs_compatible(runs: list[int], b_counts: list[int], rules: PairRule) -> bool:
-    bits = rules.value
+    need = _NEED_BY_TOP_BIT[rules.value.bit_length()]
     for run, bs in zip(runs, b_counts):
-        # A segment with a B for each B of the run meets every rule.
-        if bs < run and (
-            bits & _RUN or (bits & _CAB and bs < 1) or (bits & _CABB and run >= 2 and bs < 2)
-        ):
+        if bs < run and bs < need:
             return False
     return True
 
@@ -361,7 +363,7 @@ class AvoiderPairReport:
 
 _LEMMA_RULES = {
     "cab": PairRule.CAB_NEEDS_B,
-    "cabb": PairRule.CAB_NEEDS_B | PairRule.CABB_NEEDS_BB,
+    "cabb": PairRule.CABB_NEEDS_BB,
     "cab_k": PairRule.RUN_NEEDS_MATCH,
 }
 

@@ -268,6 +268,57 @@ class TestVerify:
         code, out, _ = run_main(["verify", "--suite", "roots", "--format", "json"], capsys)
         assert json.loads(out)["counters"] == {}
 
+    def test_gf_check_rows_are_pinned(self, capsys):
+        argv = ["verify", "--suite", "gf", "--cap-pairs", "8", "--format", "json"]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        exhaustive = "series coefficients equal exhaustive pair counts for 2<=n<=8"
+        identity = "exact identity, residual numerator []"
+        assert json.loads(out)["checks"] == [
+            {"name": "pairs-cab-identity", "passed": True, "detail": identity},
+            {"name": "pairs-cabb-identity", "passed": True, "detail": identity},
+            {
+                "name": "pairs-cab-run-identity",
+                "passed": True,
+                "detail": "unverifiable-as-printed; displayed equation has a dangling "
+                "sum; checked against exhaustive pair counts instead (2..8)",
+            },
+            {"name": "pairs-cab-vs-exhaustive", "passed": True, "detail": exhaustive},
+            {"name": "pairs-cabb-vs-exhaustive", "passed": True, "detail": exhaustive},
+            {"name": "pairs-cab-run-vs-exhaustive", "passed": True, "detail": exhaustive},
+            {"name": "segment-series-vs-count", "passed": True, "detail": "coefficients 0..12 agree"},
+            {"name": "nocb-series-vs-count", "passed": True, "detail": "coefficients 0..12 agree"},
+        ]
+
+    def test_gf_compares_each_rule_set_once(self, capsys, monkeypatch):
+        # Three rule sets, n = 2..8 each: one exhaustive count per (rule, n),
+        # whichever module the call goes through.
+        calls = []
+
+        def counted(n, rules=wordlang.PairRule.NONE, **kwargs):
+            calls.append((n, rules))
+            return brute_count_pairs(n, rules, **kwargs)
+
+        monkeypatch.setattr(cli, "brute_count_pairs", counted)
+        monkeypatch.setattr(wordlang, "brute_count_pairs", counted)
+        code, _, _ = run_main(["verify", "--suite", "gf", "--cap-pairs", "8"], capsys)
+        assert code == 0
+        assert len(calls) == 21 == len(set(calls))
+
+    def test_cab_run_identity_row_takes_the_exhaustive_result(self, capsys, monkeypatch):
+        # The as-printed run equation checks nothing itself; its row passes
+        # or fails with the run series' exhaustive comparison.
+        def off_by_one(n, rules=wordlang.PairRule.NONE, **kwargs):
+            bump = rules == wordlang.PairRule.RUN_NEEDS_MATCH and n == 5
+            return brute_count_pairs(n, rules, **kwargs) + bump
+
+        monkeypatch.setattr(cli, "brute_count_pairs", off_by_one)
+        monkeypatch.setattr(wordlang, "brute_count_pairs", off_by_one)
+        code, out, _ = run_main(["verify", "--suite", "gf", "--cap-pairs", "8"], capsys)
+        assert code == 1
+        failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL  pairs-cab-run-identity", "FAIL  pairs-cab-run-vs-exhaustive"]
+
     def test_json_floats_are_rounded(self, capsys):
         code, out, _ = run_main(
             ["verify", "--suite", "roots", "--format", "json"], capsys

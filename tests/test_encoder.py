@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -83,19 +82,16 @@ class TestMark:
 
     def test_letter_color_consistency_enforced(self):
         perm = Permutation((1, 2))
-        assert MarkedPermutation(perm, "RB", "AD").letters == "AD"
-        for colors, letters, message in (
-            ("R", "AD", "match the permutation length"),
-            ("RB", "A", "match the permutation length"),
-            ("RX", "AD", "must be R/B"),
-            ("RB", "AX", "must be R/B"),
-            ("RX", "AX", "must be R/B"),  # a letter that passes for its own color
-            ("RR", "AR", "must be R/B"),  # R is a color, not a letter
-            ("RB", "AA", "letter A cannot sit on color B"),
-            ("RR", "AC", "letter C cannot sit on color R"),
+        marked = MarkedPermutation(perm, "AD")
+        assert (marked.letters, marked.colors) == ("AD", "RB")
+        for letters, message in (
+            ("A", "match the permutation length"),
+            ("ABC", "match the permutation length"),
+            ("AX", "must be A/B/C/D"),
+            ("AR", "must be A/B/C/D"),  # R is a color, not a letter
         ):
             with pytest.raises(ValueError, match=message):
-                MarkedPermutation(perm, colors, letters)
+                MarkedPermutation(perm, letters)
 
     def test_identity_permutation(self):
         m = mark(tuple(range(1, 6)), mode="plain")
@@ -122,13 +118,6 @@ class TestMark:
                 for pos in forced:
                     assert m.colors[pos - 1] == "B"
                     assert m.letters[pos - 1] == "D"
-
-    def test_no_warnings_on_avoiders(self, avoiders_by_n):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for n in (5, 6, 7):
-                for p in avoiders_by_n[n]:
-                    mark(p)
 
 
 def letters_oracle(entries: tuple[int, ...], colors: str) -> str:
@@ -204,6 +193,16 @@ class TestKernelsAgainstDefinitions:
                     assert (m.colors, m.letters) == (colors, letters), (entries, mode)
                     z = "".join(letters[i] for i in by_value)
                     assert m.word_pair() == WordPair(letters, z), (entries, mode)
+
+    def test_rule4prime_only_turns_b_into_d(self):
+        # Every entry rule (4') forces is a B or a D in plain mode, on every
+        # permutation, avoider or not.
+        for n in range(8):
+            for entries in itertools.permutations(range(1, n + 1)):
+                plain = mark(entries, mode="plain").letters
+                forced = set(right_to_left_maxima(entries)) - set(left_to_right_minima(entries))
+                for pos in forced:
+                    assert plain[pos - 1] in "BD", (entries, pos)
 
 
 class TestWordPair:

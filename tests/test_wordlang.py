@@ -196,6 +196,11 @@ class TestCheckPair:
                 with pytest.raises(ValueError, match="not a word over ABCD"):
                     check_pair(w, z, rules)
 
+    def test_rule_sets_form_a_chain(self):
+        assert PairRule.CAB_NEEDS_B | PairRule.CABB_NEEDS_BB == PairRule.CABB_NEEDS_BB
+        assert PairRule.CAB_NEEDS_B in PairRule.RUN_NEEDS_MATCH
+        assert PairRule.CABB_NEEDS_BB in PairRule.RUN_NEEDS_MATCH
+
     def test_rule_bits_match_the_flag_definitions(self):
         # Every combination of flags, every run and B count up to 4,
         # against the rules as PairRule's docstring states them.
