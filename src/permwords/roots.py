@@ -1,10 +1,12 @@
 """Polynomial roots and certified growth bounds.
 
-Two routes that must agree: Durand-Kerner simultaneous iteration in
-double precision supplies the global root picture (all roots, moduli,
-the gap between the two smallest), while exact rational bisection on a
-sign-change bracket certifies the digits of the one root that matters.
-The certificate for "unique smallest-modulus root" combines both.
+One exact route certifies the root that matters.  A Schur-Cohn count in
+integer arithmetic finds a rational radius R with exactly one zero of p
+in |x| < R.  The non-real zeros of a real polynomial come in conjugate
+pairs, so that zero is real; a sign change of p below R makes it
+positive, and exact bisection pins its digits.  Every other zero has
+modulus at least R, which proves the modulus gap.  Durand-Kerner
+iteration (`all_roots`) stays only as the tests' float oracle.
 """
 
 from __future__ import annotations
@@ -12,29 +14,31 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .series import IntPolynomial, RationalFunction
 
 __all__ = [
-    "BracketError",
     "CertificateError",
     "RootConvergenceError",
     "RootEstimate",
     "all_roots",
-    "bracket_smallest_positive_root",
     "certified_smallest_root",
     "growth_bound",
     "is_square_free",
     "refine_real_root",
 ]
 
+# Root intervals are bisected to half-width PRECISION: at 1e-13 each bound's
+# whole interval [1/hi^2, 1/lo^2] sits inside its row's tolerance.
+PRECISION = 1e-13
+# Steps of the search for a radius holding one zero, then outward steps.
+SEARCH_STEPS = 64
+OUTWARD_STEPS = 12
+
 
 class RootConvergenceError(RuntimeError):
     """Durand-Kerner iteration failed to settle."""
-
-
-class BracketError(RuntimeError):
-    """No sign change found on the scan grid."""
 
 
 class CertificateError(RuntimeError):
@@ -45,9 +49,8 @@ class CertificateError(RuntimeError):
 class RootEstimate:
     """A real root pinned to [value - radius, value + radius].
 
-    unique_smallest is set only when the float root picture shows a
-    modulus gap beyond 1 + 10*radius/value between the smallest root and
-    every other root.
+    unique_smallest needs a proven modulus_gap beyond 1 + 10*radius/value:
+    every other root has modulus at least modulus_gap * (value + radius).
     """
 
     value: float
@@ -58,22 +61,21 @@ class RootEstimate:
     def __post_init__(self) -> None:
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        if self.unique_smallest:
-            if self.modulus_gap is None or not (
-                self.modulus_gap > 1 + 10 * self.radius / self.value
-            ):
-                raise ValueError("modulus gap does not support unique_smallest")
+        gap = self.modulus_gap
+        if self.unique_smallest and not (gap and gap > 1 + 10 * self.radius / self.value):
+            raise ValueError("modulus gap does not support unique_smallest")
 
 
 def all_roots(
     p: IntPolynomial, *, tol: float = 1e-13, max_iter: int = 1000
 ) -> list[complex]:
-    """All complex roots of p by Durand-Kerner iteration.
+    """All complex roots of p by Durand-Kerner iteration, in floats.
 
-    Roots are returned sorted by modulus.  Each must pass a residual test
-    scaled by the coefficient sizes, and for the (real) inputs used here
-    the root multiset must be closed under conjugation; a failure of
-    either raises instead of returning bad data.
+    No certificate uses it; it is the tests' float oracle for the exact
+    zero count.  Roots are returned sorted by modulus.  Each must pass a
+    residual test scaled by the coefficient sizes, and for the (real)
+    inputs used here the root multiset must be closed under conjugation;
+    a failure of either raises instead of returning bad data.
     """
     if p.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
@@ -129,67 +131,72 @@ def all_roots(
     return sorted(roots, key=lambda z: (abs(z), z.real, z.imag))
 
 
-def refine_real_root(
-    p: IntPolynomial, lo: Fraction, hi: Fraction, tol: float = 1e-11
-) -> RootEstimate:
-    """Bisect a sign-change bracket down to width 2*tol, exactly.
+def _scaled(p: IntPolynomial, x: Fraction) -> list[int]:
+    """The int coefficients of b^n * p(a*t/b) in t, for x = a/b, n = deg p.
 
-    Signs are evaluated in rational arithmetic, so the returned interval
-    is a proof, not an estimate.  Endpoints with equal signs are refused.
+    Their sum has the sign of p(x); their zeros in |t| < 1 are p's in |t| < x.
+    """
+    a, b, n = x.numerator, x.denominator, p.degree
+    return [c * a**i * b ** (n - i) for i, c in enumerate(p.coeffs)]
+
+
+def _zeros_inside(c: list[int]) -> int | None:
+    """Zeros of sum c[i] t^i in |t| < 1, with multiplicity, by Schur-Cohn.
+
+    Each step takes the Schur transform a0*p - an*p* (p* reverses the
+    coefficients), of lower degree, and divides it by its content.  It has
+    as many zeros inside as p when a0^2 > an^2, and deg p minus that many
+    when a0^2 < an^2.  A singular step, a0^2 = an^2, gives None; any zero
+    on the unit circle forces one.
+
+    >>> _zeros_inside([-1, 0, 4]), _zeros_inside([1, -4, 1])  # 4t^2 - 1; 1 - 4t + t^2
+    (2, None)
+    """
+    inside, sign = 0, 1
+    while len(c) > 1:
+        a0, an, n = c[0], c[-1], len(c) - 1
+        delta = a0 * a0 - an * an
+        if delta == 0:
+            return None
+        if delta < 0:
+            inside, sign = inside + sign * n, -sign
+        c = [a0 * c[i] - an * c[n - i] for i in range(n)]
+        while not c[-1]:  # c[0] = delta is nonzero
+            c.pop()
+        g = gcd(*c)
+        c = [v // g for v in c]
+    return inside
+
+
+def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RootEstimate:
+    """Bisect a sign-change bracket down to half-width PRECISION, exactly.
+
+    Each sign is that of an integer sum (see `_scaled`), so the returned
+    interval is a proof, not an estimate.  Endpoints with equal signs are
+    refused.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    tol_frac = Fraction(tol)
-    f_lo = p.evaluate(lo)
-    f_hi = p.evaluate(hi)
-    if f_lo == 0:
-        hi = lo
-    elif f_hi == 0:
-        lo = hi
-    elif (f_lo > 0) == (f_hi > 0):
-        raise ValueError(
-            f"no sign change on [{lo}, {hi}]: p(lo)={float(f_lo):g}, p(hi)={float(f_hi):g}"
-        )
-    else:
-        while hi - lo > 2 * tol_frac:
-            mid = (lo + hi) / 2
-            f_mid = p.evaluate(mid)
-            if f_mid == 0:
-                lo = hi = mid
-                break
-            if (f_mid > 0) == (f_lo > 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
+    f_lo, f_hi = sum(_scaled(p, lo)), sum(_scaled(p, hi))
+    if f_lo * f_hi > 0:
+        raise ValueError(f"no sign change on [{lo}, {hi}]: p has one sign at both")
+    if f_lo * f_hi == 0:
+        lo = hi = lo if f_lo == 0 else hi
+    width = Fraction(2 * PRECISION)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        f_mid = sum(_scaled(p, mid))
+        if f_mid == 0:
+            lo = hi = mid
+        elif (f_mid > 0) == (f_lo > 0):
+            lo = mid
+        else:
+            hi = mid
     mid = (lo + hi) / 2
     # half-width plus a float-rounding ulp so the interval stays honest
     radius = float((hi - lo) / 2) + abs(float(mid)) * 2.3e-16 + 5e-324
     return RootEstimate(value=float(mid), radius=radius)
-
-
-def bracket_smallest_positive_root(
-    p: IntPolynomial, *, grid: int = 64
-) -> tuple[Fraction, Fraction]:
-    """First sign change of p on the grid k/grid, k = 1..grid-1.
-
-    Raises BracketError when the scan sees none; the caller decides what
-    a degenerate scan means, nothing is guessed here.
-    """
-    prev_x = Fraction(0)
-    prev_sign = None
-    for k in range(1, grid):
-        x = Fraction(k, grid)
-        v = p.evaluate(x)
-        if v == 0:
-            return x, x
-        sign = v > 0
-        if prev_sign is not None and sign != prev_sign:
-            return prev_x, x
-        prev_x, prev_sign = x, sign
-    raise BracketError(f"no sign change of {p.coeffs} at k/{grid}, k=1..{grid - 1}")
 
 
 def is_square_free(p: IntPolynomial) -> bool:
@@ -200,78 +207,72 @@ def is_square_free(p: IntPolynomial) -> bool:
 def _fraction_gcd_degree(a: IntPolynomial, b: IntPolynomial) -> int:
     fa = [Fraction(c) for c in a.coeffs]
     fb = [Fraction(c) for c in b.coeffs]
-
-    def strip(v: list[Fraction]) -> list[Fraction]:
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    fa, fb = strip(fa), strip(fb)
     while fb:
-        # remainder of fa / fb
-        r = fa[:]
+        r = fa[:]  # remainder of fa / fb; each pass clears r's top term
         while len(r) >= len(fb):
-            factor = r[-1] / fb[-1]
-            shift = len(r) - len(fb)
+            factor, shift = r[-1] / fb[-1], len(r) - len(fb)
             for i, c in enumerate(fb):
                 r[i + shift] -= factor * c
-            strip(r)
-            if not r:
-                break
+            while r and r[-1] == 0:
+                r.pop()
         fa, fb = fb, r
     return len(fa) - 1
 
 
-def certified_smallest_root(p: IntPolynomial, *, tol: float = 1e-11) -> RootEstimate:
-    """Certify and refine p's smallest-modulus root.
+def certified_smallest_root(p: IntPolynomial) -> RootEstimate:
+    """Certify and refine p's smallest-modulus root, in exact arithmetic.
 
-    Demands: p square-free (exact gcd test), float picture showing a
-    real, positive smallest root with a clear modulus gap, and an exact
-    sign-change bracket agreeing with the float root.  Any shortfall
-    raises CertificateError with the conflicting data.
+    Demands: p square-free; a radius r, found by bisection, where the
+    Schur-Cohn count shows exactly one zero in |x| < r; and a sign change
+    of p on [lo, r], where lo is the search's last radius with count 0.
+    Outward steps then push r toward the next modulus, and the gap
+    r / (upper end of the root's interval) is proven.  Any shortfall
+    raises CertificateError with the data that failed.
     """
     if not is_square_free(p):
         raise CertificateError(f"{p.coeffs} is not square-free")
-    roots = all_roots(p)
-    smallest = roots[0]
-    if len(roots) == 1:
-        gap = float("inf")
+    lo, hi, r = Fraction(0), None, Fraction(1)
+    for _ in range(SEARCH_STEPS):
+        count = _zeros_inside(_scaled(p, r))
+        if count == 1:
+            break
+        if count is None:  # a singular step decides nothing: retry nearer lo
+            r = (lo + r) / 2
+            continue
+        lo, hi = (r, hi) if count == 0 else (lo, r)
+        r = 2 * lo if hi is None else (lo + hi) / 2
     else:
-        gap = abs(roots[1]) / abs(smallest)
-    if abs(smallest.imag) > 1e-8 * max(1.0, abs(smallest)) or smallest.real <= 0:
         raise CertificateError(
-            f"smallest root {smallest} is not real positive "
-            f"(two smallest moduli: {abs(roots[0]):.6g}, {abs(roots[1]):.6g})"
+            f"no radius holds exactly one zero of {p.coeffs} after {SEARCH_STEPS} "
+            f"steps (none in |x| < {float(lo):.6g})"
         )
-    lo, hi = bracket_smallest_positive_root(p)
-    if lo == hi:
-        est = RootEstimate(value=float(lo), radius=abs(float(lo)) * 2.3e-16 + 5e-324)
-    else:
-        est = refine_real_root(p, lo, hi, tol)
-    if abs(est.value - smallest.real) > 1e-6 * max(1.0, abs(smallest)):
+    if sum(_scaled(p, lo)) * sum(_scaled(p, r)) >= 0:
         raise CertificateError(
-            f"bisection found {est.value} but the smallest float root is {smallest}"
+            f"the one zero of {p.coeffs} in |x| < {float(r):.6g} is not positive"
         )
+    est = refine_real_root(p, lo, r)
+    for _ in range(OUTWARD_STEPS):
+        step = 2 * r if hi is None else (r + hi) / 2
+        if _zeros_inside(_scaled(p, step)) == 1:
+            r = step
+        else:
+            hi = step
+    gap = float(r) / (est.value + est.radius)
     if not gap > 1 + 10 * est.radius / est.value:
-        raise CertificateError(
-            f"modulus gap {gap:.6g} too small for uniqueness "
-            f"(two smallest moduli: {abs(roots[0]):.6g}, {abs(roots[1]):.6g})"
-        )
-    return RootEstimate(
-        value=est.value,
-        radius=est.radius,
-        unique_smallest=True,
-        modulus_gap=gap,
-    )
+        raise CertificateError(f"proven modulus gap {gap:.6g} is too small")
+    return RootEstimate(est.value, est.radius, unique_smallest=True, modulus_gap=gap)
 
 
-def growth_bound(f: RationalFunction, *, tol: float = 1e-11) -> float:
+def growth_bound(f: RationalFunction) -> float:
     """The squared reciprocal of f's smallest denominator root.
 
     When f counts objects split over two words of total size 2n, its
     coefficient growth per unit of n is the square of the reciprocal
-    root, which is what this returns; the root must pass the full
-    uniqueness certificate first.
+    root, which is what this returns.  The numerator must share no factor
+    with the denominator, so that no pole cancels, and the root must pass
+    the full uniqueness certificate.
     """
-    est = certified_smallest_root(f.den, tol=tol)
+    if _fraction_gcd_degree(f.num, f.den) != 0:
+        raise CertificateError(f"gcd of {f.num.coeffs} and {f.den.coeffs} is not constant")
+    est = certified_smallest_root(f.den)
     return (1.0 / est.value) ** 2

@@ -65,6 +65,10 @@ class PairRule(enum.Flag):
     CABB_NEEDS_BB = 3
     RUN_NEEDS_MATCH = 7
 
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        return None  # no pseudo-members: PairRule(v) raises unless v is 0, 1, 3 or 7
+
 
 def _require_word(v: str) -> str:
     if v.translate(_NOT_LETTERS):

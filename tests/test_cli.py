@@ -169,6 +169,14 @@ class TestEncode:
 
 
 class TestVerify:
+    def test_each_bound_interval_sits_inside_its_tolerance(self):
+        # The whole certified interval [1/hi^2, 1/lo^2], not only the
+        # float bound, must pass: where bisection stops cannot decide a row.
+        for name, gf, reference, tolerance in cli.BOUND_ROWS:
+            est = cli.certified_smallest_root(gf.den)
+            for end in (est.value + est.radius, est.value - est.radius):
+                assert abs(1 / end**2 - reference) <= tolerance, name
+
     def test_roots_suite_passes(self, capsys):
         code, out, _ = run_main(["verify", "--suite", "roots"], capsys)
         assert code == 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,13 +18,11 @@ from permwords import (
     certified_smallest_root,
     growth_bound,
     refine_real_root,
+    roots,
 )
-from permwords.roots import (
-    BracketError,
-    CertificateError,
-    bracket_smallest_positive_root,
-    is_square_free,
-)
+from permwords.cli import BOUND_ROWS
+from permwords.roots import CertificateError, _scaled, _zeros_inside, is_square_free
+from permwords.series import rf
 
 
 def linear(root: int) -> IntPolynomial:
@@ -73,15 +72,73 @@ class TestRefine:
             refine_real_root(IntPolynomial((-2, 0, 1)), Fraction(3), Fraction(4))
 
 
-class TestBracket:
+class TestSchurCohn:
+    def test_count_matches_durand_kerner(self):
+        """Durand-Kerner (`all_roots`) is the float oracle of the exact count.
+
+        On seeded random integer polynomials of degree <= 9, the count in
+        |x| < R equals the number of float moduli below R, for radii that
+        no modulus comes within 1e-6 of.
+        """
+        rng = random.Random(9)
+        compared = 0
+        for _ in range(300):
+            deg = rng.randint(1, 9)
+            coeffs = [rng.randint(-9, 9) for _ in range(deg)]
+            coeffs[0] = coeffs[0] or 1
+            coeffs.append(rng.choice((-1, 1)) * rng.randint(1, 9))
+            p = IntPolynomial(tuple(coeffs))
+            moduli = [abs(z) for z in all_roots(p)]
+            for r in (Fraction(rng.randint(1, 300), 100) for _ in range(4)):
+                if any(abs(m - r) <= 1e-6 for m in moduli):
+                    continue
+                assert _zeros_inside(_scaled(p, r)) == sum(m < r for m in moduli), (coeffs, r)
+                compared += 1
+        assert compared > 1000
+
+    def test_singular_steps_give_no_count(self):
+        for p in (NOCB_WORD_SERIES.den, IntPolynomial((1, 0, 1))):
+            assert _zeros_inside(_scaled(p, Fraction(1))) is None
+
+
+class TestCertificate:
     def test_segment_denominator(self):
-        lo, hi = bracket_smallest_positive_root(SEGMENT_SERIES.den)
-        root = (3 - math.sqrt(5)) / 2
-        assert float(lo) <= root <= float(hi)
+        est = certified_smallest_root(SEGMENT_SERIES.den)
+        assert abs(est.value - (3 - math.sqrt(5)) / 2) <= est.radius
+        assert est.unique_smallest
 
     def test_no_positive_root(self):
-        with pytest.raises(BracketError):
-            bracket_smallest_positive_root(IntPolynomial((1, 0, 1)))
+        with pytest.raises(CertificateError):
+            certified_smallest_root(IntPolynomial((1, 0, 1)))
+
+    def test_refuses_negative_smallest_zero(self):
+        p = IntPolynomial((1, 4)) * IntPolynomial((1, -1))
+        with pytest.raises(CertificateError, match="not positive"):
+            certified_smallest_root(p)
+
+    def test_refuses_conjugate_pair_at_smallest_modulus(self):
+        p = IntPolynomial((1, 0, 4)) * IntPolynomial((1, -1))
+        with pytest.raises(CertificateError, match="exactly one zero"):
+            certified_smallest_root(p)
+
+    def test_proven_gap_holds_against_durand_kerner(self):
+        # (1 - 4x)(3 - 4x)(1 + x^2): the first outward step lands on |x| = 1,
+        # where +-i make the count singular; the gap must stop below 3/4.
+        p = IntPolynomial((1, -4)) * IntPolynomial((3, -4)) * IntPolynomial((1, 0, 1))
+        for q in (p, SEGMENT_SERIES.den, *(gf.den for _, gf, _, _ in BOUND_ROWS)):
+            est = certified_smallest_root(q)
+            second = abs(all_roots(q)[1])
+            assert est.modulus_gap * (est.value + est.radius) <= second * (1 + 1e-12)
+
+    def test_needs_no_float_roots(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate must not call all_roots")
+
+        monkeypatch.setattr(roots, "all_roots", refuse)
+        for _, gf, _, _ in BOUND_ROWS:
+            assert certified_smallest_root(gf.den).unique_smallest
+            growth_bound(gf)
+        assert certified_smallest_root(SEGMENT_SERIES.den).unique_smallest
 
 
 class TestSquareFree:
@@ -134,6 +191,12 @@ class TestGrowthBounds:
         run = growth_bound(PAIR_SERIES_CAB_RUN)
         base = growth_bound(NOCB_WORD_SERIES)
         assert base > cab > cabb > run > 13.7
+
+    def test_refuses_a_cancelled_pole(self):
+        # (1 - 4x + x^2) / ((1 - 4x + x^2)(1 - 3x)) is 1/(1 - 3x), growth 9
+        den = NOCB_WORD_SERIES.den
+        with pytest.raises(CertificateError, match="not constant"):
+            growth_bound(rf(den, den * IntPolynomial((1, -3))))
 
     def test_pinned_digits(self):
         assert abs(growth_bound(PAIR_SERIES_CAB) - 13.7595074) <= 1e-6

@@ -201,6 +201,16 @@ class TestCheckPair:
         assert PairRule.CAB_NEEDS_B in PairRule.RUN_NEEDS_MATCH
         assert PairRule.CABB_NEEDS_BB in PairRule.RUN_NEEDS_MATCH
 
+    def test_only_the_chain_values_are_rules(self):
+        # No nameless members: _runs_compatible reads only the top bit, so
+        # PairRule(2) would screen as the CABB rule and PairRule(4) as the run rule.
+        for v in range(8):
+            if v in (0, 1, 3, 7):
+                assert PairRule(v).value == v and PairRule(v).name
+            else:
+                with pytest.raises(ValueError):
+                    PairRule(v)
+
     def test_rule_bits_match_the_flag_definitions(self):
         # Every combination of flags, every run and B count up to 4,
         # against the rules as PairRule's docstring states them.
