@@ -283,7 +283,7 @@ def _suite_gf(report: ReportDocument, cap: int) -> None:
     for name, (gf, rule) in rules.items():
         coeffs = expand(gf, cap)
         exhaustive[name] = all(
-            coeffs[n] == brute_count_pairs(n, rule, cap=cap) for n in range(2, cap + 1)
+            coeffs[n] == brute_count_pairs(n, rule) for n in range(2, cap + 1)
         )
     for check in verify_functional_equations():
         if check.status == "exact":
@@ -360,7 +360,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # Below n = 1 the sweeps check no avoider, and below a total length of
     # 2 no pair: every such check would run over an empty range and pass.
     if _outside("--n", args.n, 1, wordlang.LEMMA_CAP) or _outside(
-        "--cap-pairs", args.cap_pairs, 2, wordlang.DEFAULT_PAIR_CAP
+        "--cap-pairs", args.cap_pairs, 2, wordlang.PAIR_CAP
     ):
         return 2
     report = ReportDocument(
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--n", type=int, default=8, help=f"1..{wordlang.LEMMA_CAP}")
     p_verify.add_argument(
-        "--cap-pairs", type=int, default=12, help=f"2..{wordlang.DEFAULT_PAIR_CAP}"
+        "--cap-pairs", type=int, default=12, help=f"2..{wordlang.PAIR_CAP}"
     )
     p_verify.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_verify.add_argument("--out", default=None)

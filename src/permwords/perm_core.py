@@ -149,30 +149,6 @@ class _PatternMatcher:
             self.pattern[j] < self.pattern[k - 1] for j in range(max(k - 1, 0))
         )
 
-    def found_in(self, entries: Sequence[int]) -> bool:
-        k = len(self.pattern)
-        n = len(entries)
-        if k == 0:
-            return True
-        if k > n:
-            return False
-        chosen = [0] * k
-
-        def extend(slot: int, start: int) -> bool:
-            last = slot == k - 1
-            for pos in range(start, n - (k - slot) + 1):
-                value = entries[pos]
-                if any(value <= chosen[i] for i in self.smaller[slot]):
-                    continue
-                if any(value >= chosen[i] for i in self.larger[slot]):
-                    continue
-                chosen[slot] = value
-                if last or extend(slot + 1, pos + 1):
-                    return True
-            return False
-
-        return extend(0, 0)
-
     def found_ending_with(self, entries: Sequence[int], value: int) -> bool:
         """Would appending `value` complete an occurrence ending there?"""
         k = len(self.pattern)
@@ -212,7 +188,11 @@ def contains(
     >>> contains(Permutation.parse("3612745"), Pattern.parse("1324"))
     False
     """
-    return _PatternMatcher(_entries_of(q)).found_in(_entries_of(p))
+    entries, matcher = _entries_of(p), _PatternMatcher(_entries_of(q))
+    # The empty pattern occurs in every p; found_ending_with needs a slot.
+    return not matcher.pattern or any(
+        matcher.found_ending_with(entries[:i], v) for i, v in enumerate(entries)
+    )
 
 
 _PATTERN_1324 = (1, 3, 2, 4)

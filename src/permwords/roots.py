@@ -160,12 +160,16 @@ def _zeros_inside(c: list[int]) -> int | None:
             return None
         if delta < 0:
             inside, sign = inside + sign * n, -sign
-        c = [a0 * c[i] - an * c[n - i] for i in range(n)]
-        while not c[-1]:  # c[0] = delta is nonzero
-            c.pop()
-        g = gcd(*c)
-        c = [v // g for v in c]
+        c = _primitive([a0 * c[i] - an * c[n - i] for i in range(n)])  # c[0] = delta
     return inside
+
+
+def _primitive(c: list[int]) -> list[int]:
+    """c (a fresh list) without trailing zeros, divided by its content gcd."""
+    while c and not c[-1]:
+        c.pop()
+    g = gcd(*c)
+    return [v // g for v in c]
 
 
 def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RootEstimate:
@@ -201,22 +205,26 @@ def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RootEstima
 
 def is_square_free(p: IntPolynomial) -> bool:
     """Exact check: gcd(p, p') is a constant."""
-    return _fraction_gcd_degree(p, p.derivative()) == 0
+    return _gcd_degree(p, p.derivative()) == 0
 
 
-def _fraction_gcd_degree(a: IntPolynomial, b: IntPolynomial) -> int:
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
-    while fb:
-        r = fa[:]  # remainder of fa / fb; each pass clears r's top term
-        while len(r) >= len(fb):
-            factor, shift = r[-1] / fb[-1], len(r) - len(fb)
-            for i, c in enumerate(fb):
-                r[i + shift] -= factor * c
-            while r and r[-1] == 0:
-                r.pop()
-        fa, fb = fb, r
-    return len(fa) - 1
+def _gcd_degree(a: IntPolynomial, b: IntPolynomial) -> int:
+    """Degree of gcd(a, b), or -1 when both are zero.
+
+    A primitive pseudo-remainder sequence in ints: each step clears the
+    remainder's top term by integer multiples, then divides by the content.
+    """
+    p, q = _primitive(list(a.coeffs)), _primitive(list(b.coeffs))
+    while q:
+        r = p
+        while len(r) >= len(q):
+            top, shift = r[-1], len(r) - len(q)
+            r = [q[-1] * v for v in r]
+            for i, v in enumerate(q):
+                r[i + shift] -= top * v
+            r = _primitive(r)
+        p, q = q, r
+    return len(p) - 1
 
 
 def certified_smallest_root(p: IntPolynomial) -> RootEstimate:
@@ -272,7 +280,7 @@ def growth_bound(f: RationalFunction) -> float:
     with the denominator, so that no pole cancels, and the root must pass
     the full uniqueness certificate.
     """
-    if _fraction_gcd_degree(f.num, f.den) != 0:
+    if _gcd_degree(f.num, f.den) != 0:
         raise CertificateError(f"gcd of {f.num.coeffs} and {f.den.coeffs} is not constant")
     est = certified_smallest_root(f.den)
     return (1.0 / est.value) ** 2

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .encoder import encode
 from .perm_core import Permutation, enumerate_avoiders
@@ -38,9 +38,10 @@ __all__ = [
 
 ALPHABET = "ABCD"
 _NOT_LETTERS = str.maketrans("", "", ALPHABET)  # translate() keeps only the rest
-# The z table of word length L has 2^L - 1 keys.  On a 2-core Xeon VM,
-# `verify gf`'s pair work takes 0.56 s and 32 MB at n = 16, doubling per n.
-DEFAULT_PAIR_CAP = 16
+# Largest total length a pair count takes, and the top of `--cap-pairs`.  The
+# z table of word length L has 2^L - 1 keys.  On a 2-core Xeon VM, `verify gf`'s
+# pair work takes 0.17 s and 32 MB at n = 16, about doubling per n.
+PAIR_CAP = 16
 # Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).  On a
 # 2-core Xeon VM `verify --suite all --n 10` takes 68 s and 18 MB; past the
 # cap, n = 11 (3.8M more avoiders) took 433 s, of which the lemmas took 161 s.
@@ -181,7 +182,7 @@ def cab_run_length(w: str, i: int) -> int:
 _NEED_BY_TOP_BIT = (0, 1, 2, float("inf"))
 
 
-def _runs_compatible(runs: list[int], b_counts: list[int], rules: PairRule) -> bool:
+def _runs_compatible(runs: Sequence[int], b_counts: Sequence[int], rules: PairRule) -> bool:
     need = _NEED_BY_TOP_BIT[rules.value.bit_length()]
     for run, bs in zip(runs, b_counts):
         if bs < run and bs < need:
@@ -214,22 +215,12 @@ def check_pair(w: str, z: str, rules: PairRule = PairRule.NONE) -> bool:
 #
 # For counting, a word only matters through a small signature: w through
 # its tuple of CAB run lengths (i-th entry for the i-th A from the right)
-# and z through its tuple of per-segment B counts (left to right).  Both
-# tables come from a forward DP over lengths that merges the CB-free words
-# starting with A by state: the signature so far, whether the last letter
-# is C (no B may follow), and whether a B now counts.  In z every B does;
-# in w only the Bs right after a CA, until another letter ends the run.
-
-
-@dataclass
-class _SignatureTables:
-    max_len: int
-    # by word length, then signature tuple -> number of words
-    w_sigs: list[dict[tuple[int, ...], int]] = field(default_factory=list)
-    z_sigs: list[dict[tuple[int, ...], int]] = field(default_factory=list)
-
-
-_TABLE_CACHE: _SignatureTables | None = None
+# and z through its tuple of per-segment B counts (left to right), both
+# grouped by A count, the signature's length.  The tables come from a
+# forward DP over lengths that merges the CB-free words starting with A by
+# state: the signature so far, whether the last letter is C (no B may
+# follow), and whether a B now counts.  In z every B does; in w only the Bs
+# right after a CA, until another letter ends the run.
 
 
 def _extend(states: dict, every_b: bool) -> dict:
@@ -245,80 +236,78 @@ def _extend(states: dict, every_b: bool) -> dict:
     return out
 
 
-def _build_tables(max_len: int) -> _SignatureTables:
-    tables = _SignatureTables(max_len, [{}], [{}])  # no word has length 0
+def _by_a_count(states: dict, step: int) -> dict[int, dict[tuple[int, ...], int]]:
+    """Words per signature (read in the given step), grouped by A count."""
+    groups: dict[int, dict[tuple[int, ...], int]] = {}
+    for (sig, _, _), count in states.items():
+        group = groups.setdefault(len(sig), {})
+        group[sig[::step]] = group.get(sig[::step], 0) + count
+    return groups
+
+
+def _tables_by_length() -> Iterator[tuple[dict, dict, dict[int, int]]]:
+    """Yield the w groups, z groups and z totals of word length 0, 1, 2, ...
+
+    Each length extends the DP states of the one before, when it is asked for.
+    """
+    yield {}, {}, {}  # no word of length 0 starts with A
     # (signature left to right, last letter is C, a B now counts)
     w_states = {((0,), False, False): 1}
     z_states = {((0,), False, True): 1}
-    for length in range(1, max_len + 1):
-        w_tab, z_tab = {}, {}
-        tables.w_sigs.append(w_tab)
-        tables.z_sigs.append(z_tab)
-        for (runs, _, _), count in w_states.items():
-            w_tab[runs[::-1]] = w_tab.get(runs[::-1], 0) + count
-        for (b_counts, _, _), count in z_states.items():
-            z_tab[b_counts] = z_tab.get(b_counts, 0) + count
-        if length < max_len:
-            w_states, z_states = _extend(w_states, False), _extend(z_states, True)
-    return tables
+    while True:
+        z_groups = _by_a_count(z_states, 1)
+        totals = {m: sum(group.values()) for m, group in z_groups.items()}
+        yield _by_a_count(w_states, -1), z_groups, totals
+        w_states, z_states = _extend(w_states, False), _extend(z_states, True)
 
 
-def _tables_up_to(max_len: int) -> _SignatureTables:
-    global _TABLE_CACHE
-    if _TABLE_CACHE is None or _TABLE_CACHE.max_len < max_len:
-        _TABLE_CACHE = _build_tables(max_len)
-    return _TABLE_CACHE
+_LENGTHS = _tables_by_length()
+_TABLES: list[tuple[dict, dict, dict[int, int]]] = []  # index: word length
+
+
+def _grow_tables(max_len: int) -> None:
+    while len(_TABLES) <= max_len:
+        _TABLES.append(next(_LENGTHS))
 
 
 def signature_key_count(max_len: int) -> int:
     """Keys in the w and z signature tables of word lengths 1..max_len.
 
-    Only those lengths count, however far the cached tables reach.
+    Only those lengths count, however far the tables reach.
     """
-    tables = _tables_up_to(max_len)
-    return sum(map(len, tables.w_sigs[1 : max_len + 1] + tables.z_sigs[1 : max_len + 1]))
+    _grow_tables(max_len)
+    tables = _TABLES[1 : max_len + 1]
+    return sum(len(group) for w, z, _ in tables for group in (*w.values(), *z.values()))
 
 
-def brute_count_pairs(
-    n: int, rules: PairRule = PairRule.NONE, *, cap: int = DEFAULT_PAIR_CAP
-) -> int:
+def brute_count_pairs(n: int, rules: PairRule = PairRule.NONE) -> int:
     """Count pairs (w, z) with |w| + |z| = n passing the base test + rules.
 
     Only CB-free words starting with A can occur in a pair.  They are
-    counted by signature, one table per word length, with a forward DP
-    that merges words by state; pairs are then combined by joining the
-    w and z tables of lengths a and n - a.  The z table of length L has
-    2^L - 1 keys, so the cap bounds the work; raise it deliberately.
+    counted by signature, one table per word length and A count, with a
+    forward DP that merges words by state; pairs are then combined by
+    joining the w and z groups of lengths a and n - a with the same A
+    count.  The tables grow to length n - 1 on demand, and the z table of
+    length L has 2^L - 1 keys, so PAIR_CAP bounds n.
 
     >>> brute_count_pairs(3, PairRule.CAB_NEEDS_B)
     6
     """
-    if not 2 <= n <= cap:
-        raise ValueError(f"n must be within 2..{cap} (cap), got {n}")
-    tables = _tables_up_to(cap - 1)
+    if not 2 <= n <= PAIR_CAP:
+        raise ValueError(f"n must be within 2..{PAIR_CAP}, got {n}")
+    _grow_tables(n - 1)
     total = 0
     for a in range(1, n):
-        b = n - a
-        w_table = tables.w_sigs[a]
-        z_table = tables.z_sigs[b]
-        # group z signatures by A count, tracking totals for the common
-        # case of an unconstrained w signature
-        by_m: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-        m_total: dict[int, int] = {}
-        for z_key, cz in z_table.items():
-            by_m.setdefault(len(z_key), []).append((z_key, cz))
-            m_total[len(z_key)] = m_total.get(len(z_key), 0) + cz
-        for w_key, cw in w_table.items():
-            m = len(w_key)
-            if m not in by_m:
-                continue
-            if not rules or not any(w_key):
-                total += cw * m_total[m]
-                continue
-            runs = list(w_key)
-            for z_key, cz in by_m[m]:
-                if _runs_compatible(runs, list(z_key), rules):
-                    total += cw * cz
+        _, z_groups, z_totals = _TABLES[n - a]
+        for m, w_group in _TABLES[a][0].items():
+            z_group = z_groups.get(m, {})
+            for w_key, cw in w_group.items():
+                if not rules or not any(w_key):  # every z of this A count fits
+                    total += cw * z_totals.get(m, 0)
+                    continue
+                for z_key, cz in z_group.items():
+                    if _runs_compatible(w_key, z_key, rules):
+                        total += cw * cz
     return total
 
 

@@ -93,6 +93,14 @@ class TestContains:
     def test_pattern_longer_than_host(self):
         assert not contains((2, 1), (1, 3, 2, 4))
 
+    def test_empty_pattern_is_in_every_permutation(self):
+        for entries in ((), (1,), (2, 1), (2, 5, 3, 7, 1, 6, 4)):
+            assert contains(entries, ())
+
+    def test_empty_permutation_contains_no_nonempty_pattern(self):
+        for pattern in ((1,), (2, 1), (1, 3, 2, 4)):
+            assert not contains((), pattern)
+
 
 class TestCountAvoiders:
     def test_frozen_1324_counts(self):

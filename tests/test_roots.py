@@ -21,7 +21,13 @@ from permwords import (
     roots,
 )
 from permwords.cli import BOUND_ROWS
-from permwords.roots import CertificateError, _scaled, _zeros_inside, is_square_free
+from permwords.roots import (
+    CertificateError,
+    _gcd_degree,
+    _scaled,
+    _zeros_inside,
+    is_square_free,
+)
 from permwords.series import rf
 
 
@@ -152,6 +158,42 @@ class TestSquareFree:
     def test_certificate_refuses_squares(self):
         with pytest.raises(CertificateError):
             certified_smallest_root(linear(1) * linear(1) * linear(-2))
+
+
+def fraction_gcd_degree(a: IntPolynomial, b: IntPolynomial) -> int:
+    """Euclid over the rationals: the oracle of the int sequence."""
+    fa = [Fraction(c) for c in a.coeffs]
+    fb = [Fraction(c) for c in b.coeffs]
+    while fb:
+        r = fa[:]
+        while len(r) >= len(fb):
+            factor, shift = r[-1] / fb[-1], len(r) - len(fb)
+            for i, c in enumerate(fb):
+                r[i + shift] -= factor * c
+            while r and r[-1] == 0:
+                r.pop()
+        fa, fb = fb, r
+    return len(fa) - 1
+
+
+class TestGcdDegree:
+    def test_matches_fraction_euclid(self):
+        rng = random.Random(10)
+
+        def poly() -> IntPolynomial:
+            return IntPolynomial(tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 5))))
+
+        degrees = set()
+        for _ in range(400):
+            a, b, c = poly(), poly(), poly()
+            expected = fraction_gcd_degree(a * c, b * c)
+            assert _gcd_degree(a * c, b * c) == expected, (a, b, c)
+            degrees.add(expected)
+        assert {-1, 0, 1, 2, 3, 4} <= degrees  # common factors of every degree
+
+    def test_refuses_a_zero_numerator(self):
+        with pytest.raises(CertificateError, match="not constant"):
+            growth_bound(rf(0, NOCB_WORD_SERIES.den))
 
 
 class TestRootEstimate:

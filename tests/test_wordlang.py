@@ -25,7 +25,6 @@ from permwords.wordlang import (
     _all_pairs,
     _cab_runs,
     _runs_compatible,
-    _tables_up_to,
     _words,
 )
 
@@ -254,18 +253,37 @@ class TestPairCounting:
 
     def test_signature_tables_match_word_by_word_oracle(self):
         # Independent oracle for the table DP: the signature of every
-        # CB-free word starting with A, read off the word itself.
-        tables = _tables_up_to(9)
+        # CB-free word starting with A, read off the word itself and
+        # grouped by its number of As.
+        wordlang.signature_key_count(9)  # grows the tables to length 9
         for length in range(1, 10):
-            w_sigs: dict[tuple[int, ...], int] = {}
-            z_sigs: dict[tuple[int, ...], int] = {}
+            w_groups: dict[int, dict[tuple[int, ...], int]] = {}
+            z_groups: dict[int, dict[tuple[int, ...], int]] = {}
             for v in _words(length):
                 w_key = tuple(_cab_runs(v))  # rightmost A first
                 z_key = tuple(s.count("B") for s in segments(v))
-                w_sigs[w_key] = w_sigs.get(w_key, 0) + 1
-                z_sigs[z_key] = z_sigs.get(z_key, 0) + 1
-            assert tables.w_sigs[length] == w_sigs, length
-            assert tables.z_sigs[length] == z_sigs, length
+                w_group = w_groups.setdefault(v.count("A"), {})
+                z_group = z_groups.setdefault(v.count("A"), {})
+                w_group[w_key] = w_group.get(w_key, 0) + 1
+                z_group[z_key] = z_group.get(z_key, 0) + 1
+            w_tab, z_tab, z_totals = wordlang._TABLES[length]
+            assert w_tab == w_groups, length
+            assert z_tab == z_groups, length
+            assert z_totals == {m: sum(g.values()) for m, g in z_groups.items()}
+
+    def test_tables_grow_only_as_far_as_asked(self, monkeypatch):
+        monkeypatch.setattr(wordlang, "_TABLES", [])
+        monkeypatch.setattr(wordlang, "_LENGTHS", wordlang._tables_by_length())
+        assert brute_count_pairs(8) == PAIR_COUNTS_NONE[6]
+        assert len(wordlang._TABLES) == 8  # word lengths 0..7
+        first = list(wordlang._TABLES)
+        assert brute_count_pairs(12, PairRule.RUN_NEEDS_MATCH) == 1009378
+        assert len(wordlang._TABLES) == 12  # extended to length 11
+        assert all(now is then for now, then in zip(wordlang._TABLES, first))
+        for n in (17, 1):
+            with pytest.raises(ValueError):
+                brute_count_pairs(n)
+        assert len(wordlang._TABLES) == 12
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
