@@ -9,23 +9,9 @@ exact generating functions and certified root isolation.
 
 from __future__ import annotations
 
-from .encoder import MarkedPermutation, WordPair, color, decode, encode, mark
-from .perm_core import (
-    Pattern,
-    Permutation,
-    contains,
-    count_avoiders,
-    enumerate_avoiders,
-    left_to_right_minima,
-    right_to_left_maxima,
-)
-from .roots import (
-    RootEstimate,
-    all_roots,
-    certified_smallest_root,
-    growth_bound,
-    refine_real_root,
-)
+from .encoder import MarkedPermutation, WordPair, decode, encode, mark
+from .perm_core import Permutation, contains, count_avoiders, enumerate_avoiders
+from .roots import RootEstimate, certified_smallest_root, growth_bound, refine_real_root
 from .series import (
     IntPolynomial,
     NOCB_WORD_SERIES,
@@ -36,18 +22,14 @@ from .series import (
     SEGMENT_SERIES,
     expand,
     rf_equal,
-    solve_linear,
     verify_functional_equations,
 )
 from .wordlang import (
     PairRule,
     brute_count_pairs,
-    cab_run_length,
     check_pair,
     count_nocb_words,
     count_segments_nocb,
-    has_cb_factor,
-    segments,
     verify_lemma_on_avoiders,
 )
 
@@ -61,18 +43,14 @@ __all__ = [
     "PAIR_SERIES_CABB",
     "PAIR_SERIES_CAB_RUN",
     "PairRule",
-    "Pattern",
     "Permutation",
     "RationalFunction",
     "RootEstimate",
     "SEGMENT_SERIES",
     "WordPair",
-    "all_roots",
     "brute_count_pairs",
-    "cab_run_length",
     "certified_smallest_root",
     "check_pair",
-    "color",
     "contains",
     "count_avoiders",
     "count_nocb_words",
@@ -82,14 +60,9 @@ __all__ = [
     "enumerate_avoiders",
     "expand",
     "growth_bound",
-    "has_cb_factor",
-    "left_to_right_minima",
     "mark",
     "refine_real_root",
     "rf_equal",
-    "right_to_left_maxima",
-    "segments",
-    "solve_linear",
     "verify_functional_equations",
     "verify_lemma_on_avoiders",
 ]

@@ -16,13 +16,7 @@ from typing import Any
 
 from . import series, wordlang
 from .encoder import decode, mark
-from .perm_core import (
-    Pattern,
-    Permutation,
-    count_avoiders,
-    dp_state_count,
-    enumerate_avoiders,
-)
+from .perm_core import Permutation, count_avoiders, dp_state_count, enumerate_avoiders
 from .roots import CertificateError, certified_smallest_root, growth_bound
 from .series import expand, verify_functional_equations
 from .wordlang import PairRule, brute_count_pairs, verify_lemma_on_avoiders
@@ -175,7 +169,7 @@ def _outside(flag: str, value: int, lo: int, cap: int) -> bool:
 
 def cmd_count(args: argparse.Namespace) -> int:
     try:
-        pattern = Pattern.parse(args.pattern)
+        pattern = Permutation.parse(args.pattern)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

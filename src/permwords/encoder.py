@@ -39,7 +39,6 @@ __all__ = [
     "MarkedPermutation",
     "Mode",
     "WordPair",
-    "color",
     "decode",
     "encode",
     "mark",
@@ -107,19 +106,6 @@ def _red_letters(entries: tuple[int, ...]) -> list[str]:
             out.append("B")
             barred |= (1 << x) - (2 << low)  # bits low+1 .. x-1
     return out
-
-
-def color(p: Permutation | Sequence[int]) -> str:
-    """Greedy red/blue coloring, one character per position.
-
-    An entry is blue exactly when its value is barred: some earlier red
-    entry lies above it with a smaller red entry before that one.  The
-    barred values are the bits of one int, one bit test per entry.
-
-    >>> color(Permutation.parse("3612745"))
-    'RRRRRBB'
-    """
-    return "".join(_red_letters(_entries_of(p))).translate(_COLOR_OF)
 
 
 def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPermutation:
@@ -217,9 +203,3 @@ def decode(w: str, z: str) -> tuple[int, ...]:
                 raise ValueError(f"no C value below {high} left for position {i + 1}")
             out[i] = c_vals.pop(j)
     return tuple(out)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

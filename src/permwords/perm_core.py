@@ -18,13 +18,10 @@ from functools import cache
 from math import factorial
 
 __all__ = [
-    "Pattern",
     "Permutation",
     "contains",
     "count_avoiders",
     "enumerate_avoiders",
-    "left_to_right_minima",
-    "right_to_left_maxima",
 ]
 
 
@@ -72,54 +69,12 @@ class Permutation:
         return "".join(str(e) for e in self.entries)
 
 
-@dataclass(frozen=True)
-class Pattern(Permutation):
-    """A nonempty permutation used as a containment pattern."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.entries:
-            raise ValueError("a pattern must have length at least 1")
-
-
 def _entries_of(p: Permutation | Sequence[int]) -> tuple[int, ...]:
     if isinstance(p, Permutation):
         return p.entries
     if isinstance(p, str):
         return Permutation.parse(p).entries
     return tuple(p)
-
-
-def left_to_right_minima(p: Permutation | Sequence[int]) -> tuple[int, ...]:
-    """1-based positions whose entry is smaller than every entry before it.
-
-    >>> left_to_right_minima(Permutation.parse("3612745"))
-    (1, 3)
-    """
-    positions = []
-    best: int | None = None
-    for i, value in enumerate(_entries_of(p), start=1):
-        if best is None or value < best:
-            positions.append(i)
-            best = value
-    return tuple(positions)
-
-
-def right_to_left_maxima(p: Permutation | Sequence[int]) -> tuple[int, ...]:
-    """1-based positions whose entry is larger than every entry after it.
-
-    >>> right_to_left_maxima(Permutation.parse("3612745"))
-    (5, 7)
-    """
-    entries = _entries_of(p)
-    positions = []
-    best: int | None = None
-    for i in range(len(entries), 0, -1):
-        value = entries[i - 1]
-        if best is None or value > best:
-            positions.append(i)
-            best = value
-    return tuple(reversed(positions))
 
 
 class _PatternMatcher:
@@ -179,13 +134,13 @@ class _PatternMatcher:
 
 
 def contains(
-    p: Permutation | Sequence[int], q: Pattern | Permutation | Sequence[int]
+    p: Permutation | Sequence[int], q: Permutation | Sequence[int]
 ) -> bool:
     """True when p has a subsequence order-isomorphic to q.
 
-    >>> contains(Permutation.parse("2537164"), Pattern.parse("1324"))
+    >>> contains(Permutation.parse("2537164"), (1, 3, 2, 4))
     True
-    >>> contains(Permutation.parse("3612745"), Pattern.parse("1324"))
+    >>> contains(Permutation.parse("3612745"), (1, 3, 2, 4))
     False
     """
     entries, matcher = _entries_of(p), _PatternMatcher(_entries_of(q))
@@ -421,7 +376,7 @@ def _walk_1324(
         unused.insert(i, prefix.pop())
 
 
-def count_avoiders(n: int, q: Pattern | Permutation | Sequence[int]) -> int:
+def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
     """Number of permutations of 1..n avoiding q.
 
     For 1324 a memoised dynamic program over rank-compressed prefix states
@@ -433,9 +388,9 @@ def count_avoiders(n: int, q: Pattern | Permutation | Sequence[int]) -> int:
     length 4 at most 1.2 s, and of the length-5 to length-7 patterns tried
     4-9 s and 33-50 MB.
 
-    >>> count_avoiders(4, Pattern.parse("1324"))
+    >>> count_avoiders(4, (1, 3, 2, 4))
     23
-    >>> count_avoiders(5, Pattern.parse("132"))
+    >>> count_avoiders(5, (1, 3, 2))
     42
     """
     if n < 0:
@@ -450,7 +405,7 @@ def count_avoiders(n: int, q: Pattern | Permutation | Sequence[int]) -> int:
     return _count_generic(n, [], pattern)
 
 
-def dp_state_count(q: Pattern | Permutation | Sequence[int]) -> int:
+def dp_state_count(q: Permutation | Sequence[int]) -> int:
     """Memo states held, for every pattern and length so far, by q's counting engine."""
     pattern = _flatten(_entries_of(q))
     engine = _completions_1324 if pattern == _PATTERN_1324 else _completions_generic
@@ -458,7 +413,7 @@ def dp_state_count(q: Pattern | Permutation | Sequence[int]) -> int:
 
 
 def enumerate_avoiders(
-    n: int, q: Pattern | Permutation | Sequence[int]
+    n: int, q: Permutation | Sequence[int]
 ) -> Iterator[Permutation]:
     """Yield the q-avoiding permutations of 1..n in lexicographic order.
 
@@ -466,7 +421,7 @@ def enumerate_avoiders(
     without touching its cache; any other pattern takes a backtracking
     search that tests each appended value with the pattern matcher.
 
-    >>> [str(p) for p in enumerate_avoiders(3, Pattern.parse("132"))]
+    >>> [str(p) for p in enumerate_avoiders(3, (1, 3, 2))]
     ['123', '213', '231', '312', '321']
     """
     if n < 0:
@@ -480,9 +435,3 @@ def enumerate_avoiders(
         walk = _search_generic(n, [], _PatternMatcher(pattern))
     for entries in walk:
         yield Permutation(entries)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -49,21 +49,26 @@ class CertificateError(RuntimeError):
 class RootEstimate:
     """A real root pinned to [value - radius, value + radius].
 
-    unique_smallest needs a proven modulus_gap beyond 1 + 10*radius/value:
-    every other root has modulus at least modulus_gap * (value + radius).
+    A modulus_gap, when given, is proven: every other root has modulus at
+    least modulus_gap * (value + radius).  It must exceed
+    1 + 10*radius/value, so that the root is the unique smallest.
     """
 
     value: float
     radius: float
-    unique_smallest: bool = False
     modulus_gap: float | None = None
 
     def __post_init__(self) -> None:
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         gap = self.modulus_gap
-        if self.unique_smallest and not (gap and gap > 1 + 10 * self.radius / self.value):
-            raise ValueError("modulus gap does not support unique_smallest")
+        if gap is not None and not gap > 1 + 10 * self.radius / self.value:
+            raise ValueError("modulus gap does not prove a unique smallest root")
+
+    @property
+    def unique_smallest(self) -> bool:
+        """True when a proven gap sets the root apart from every other."""
+        return self.modulus_gap is not None
 
 
 def all_roots(
@@ -268,7 +273,7 @@ def certified_smallest_root(p: IntPolynomial) -> RootEstimate:
     gap = float(r) / (est.value + est.radius)
     if not gap > 1 + 10 * est.radius / est.value:
         raise CertificateError(f"proven modulus gap {gap:.6g} is too small")
-    return RootEstimate(est.value, est.radius, unique_smallest=True, modulus_gap=gap)
+    return RootEstimate(est.value, est.radius, modulus_gap=gap)
 
 
 def growth_bound(f: RationalFunction) -> float:

@@ -36,7 +36,6 @@ __all__ = [
     "SEGMENT_SERIES",
     "expand",
     "rf_equal",
-    "solve_linear",
     "verify_functional_equations",
 ]
 
@@ -97,14 +96,6 @@ class IntPolynomial:
 
     def __rmul__(self, other: int) -> "IntPolynomial":
         return self * other
-
-    def __pow__(self, exponent: int) -> "IntPolynomial":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        out = IntPolynomial((1,))
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def evaluate(self, x: Scalar) -> Scalar:
         out: Scalar = 0
@@ -211,14 +202,6 @@ def expand(f: RationalFunction, order: int) -> list[int | Fraction]:
             acc -= den[j] * out[m - j]
         out.append(acc * inv_d0)
     return [int(c) if c.denominator == 1 else c for c in out]
-
-
-def solve_linear(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    """The F with F = a*F + b, i.e. b/(1-a); a must not be identically 1."""
-    one = rf(1)
-    if rf_equal(a, one):
-        raise ValueError("coefficient a is identically 1; F = a*F + b is degenerate")
-    return b / (one - a)
 
 
 # --- pinned closed forms ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Words over {A, B, C, D}: factor tests, segments, and pair counting.
+"""Words over {A, B, C, D}: word counts, pair screening, and pair counting.
 
 A word is a plain string over the alphabet ABCD.  A segment of a word is
 a maximal factor that starts at an A and runs up to (not including) the
@@ -27,12 +27,9 @@ __all__ = [
     "PairRule",
     "AvoiderPairReport",
     "brute_count_pairs",
-    "cab_run_length",
     "check_pair",
     "count_nocb_words",
     "count_segments_nocb",
-    "has_cb_factor",
-    "segments",
     "verify_lemma_on_avoiders",
 ]
 
@@ -71,33 +68,10 @@ class PairRule(enum.Flag):
         return None  # no pseudo-members: PairRule(v) raises unless v is 0, 1, 3 or 7
 
 
-def _require_word(v: str) -> str:
+def _require_word(v: str) -> None:
     if v.translate(_NOT_LETTERS):
         bad = set(v) - set(ALPHABET)
         raise ValueError(f"not a word over ABCD: {v!r} (bad letters {sorted(bad)})")
-    return v
-
-
-def has_cb_factor(v: str) -> bool:
-    """True when the factor CB occurs in v.
-
-    >>> has_cb_factor("ABACDBB")
-    False
-    >>> has_cb_factor("ACB")
-    True
-    """
-    return "CB" in _require_word(v)
-
-
-def segments(v: str) -> list[str]:
-    """Split v into its segments, dropping anything before the first A.
-
-    >>> segments("ABBDCACDB")
-    ['ABBDC', 'ACDB']
-    >>> segments("BCD")
-    []
-    """
-    return ["A" + rest for rest in _require_word(v).split("A")[1:]]
 
 
 def count_segments_nocb(n: int) -> int:
@@ -156,25 +130,6 @@ def _cab_runs(v: str) -> list[int]:
 def _b_counts(z: str) -> list[int]:
     """Bs per segment of z, left to right."""
     return [seg.count("B") for seg in z.split("A")[1:]]
-
-
-def cab_run_length(w: str, i: int) -> int:
-    """Bs following the i-th A from the right of w, when a C precedes that A.
-
-    Returns 0 when no C immediately precedes the A (including when the A
-    is w's first letter).
-
-    >>> cab_run_length("ACABB", 1)
-    2
-    >>> cab_run_length("ACABB", 2)
-    0
-    >>> cab_run_length("AB", 1)
-    0
-    """
-    runs = _cab_runs(_require_word(w))
-    if not 1 <= i <= len(runs):
-        raise ValueError(f"word {w!r} has {len(runs)} A(s); index {i} out of range")
-    return runs[i - 1]
 
 
 # Bs a CAB run asks of its matched segment, by the rules' highest bit: a
@@ -390,9 +345,3 @@ def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
             if not _runs_compatible(runs, b_counts, rules):
                 violations[name].append((str(p), w, z))
     return AvoiderPairReport(n, checked, {r: tuple(v) for r, v in violations.items()})
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

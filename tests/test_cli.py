@@ -26,6 +26,12 @@ class TestUsageErrors:
         code, _, err = run_main(["count", "--pattern", "122"], capsys)
         assert code == 2
 
+    def test_empty_pattern(self, capsys):
+        code, out, err = run_main(["count", "--pattern", ""], capsys)
+        assert code == 2
+        assert "error:" in err
+        assert out == ""
+
     def test_count_cap(self, capsys):
         for argv in (
             ["count", "--n", "99"],
@@ -303,9 +309,9 @@ class TestVerify:
         # whichever module the call goes through.
         calls = []
 
-        def counted(n, rules=wordlang.PairRule.NONE, **kwargs):
+        def counted(n, rules=wordlang.PairRule.NONE):
             calls.append((n, rules))
-            return brute_count_pairs(n, rules, **kwargs)
+            return brute_count_pairs(n, rules)
 
         monkeypatch.setattr(cli, "brute_count_pairs", counted)
         monkeypatch.setattr(wordlang, "brute_count_pairs", counted)
@@ -316,9 +322,9 @@ class TestVerify:
     def test_cab_run_identity_row_takes_the_exhaustive_result(self, capsys, monkeypatch):
         # The as-printed run equation checks nothing itself; its row passes
         # or fails with the run series' exhaustive comparison.
-        def off_by_one(n, rules=wordlang.PairRule.NONE, **kwargs):
+        def off_by_one(n, rules=wordlang.PairRule.NONE):
             bump = rules == wordlang.PairRule.RUN_NEEDS_MATCH and n == 5
-            return brute_count_pairs(n, rules, **kwargs) + bump
+            return brute_count_pairs(n, rules) + bump
 
         monkeypatch.setattr(cli, "brute_count_pairs", off_by_one)
         monkeypatch.setattr(wordlang, "brute_count_pairs", off_by_one)

@@ -6,17 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permwords import (
-    MarkedPermutation,
-    Permutation,
-    WordPair,
-    color,
-    decode,
-    encode,
-    left_to_right_minima,
-    mark,
-    right_to_left_maxima,
-)
+from permwords import MarkedPermutation, Permutation, WordPair, decode, encode, mark
+
+
+def left_to_right_minima(entries: tuple[int, ...]) -> set[int]:
+    """1-based positions whose entry is smaller than every entry before it."""
+    out, low = set(), len(entries) + 1
+    for i, x in enumerate(entries, 1):
+        if x < low:
+            out.add(i)
+            low = x
+    return out
+
+
+def right_to_left_maxima(entries: tuple[int, ...]) -> set[int]:
+    """1-based positions whose entry is larger than every entry after it."""
+    out, high = set(), 0
+    for i in range(len(entries), 0, -1):
+        if entries[i - 1] > high:
+            out.add(i)
+            high = entries[i - 1]
+    return out
 
 
 def naive_color(entries: tuple[int, ...]) -> str:
@@ -42,7 +52,7 @@ class TestColor:
     def test_matches_naive_all_perms_small(self):
         for n in range(1, 7):
             for entries in itertools.permutations(range(1, n + 1)):
-                assert color(entries) == naive_color(entries), entries
+                assert mark(entries, mode="plain").colors == naive_color(entries), entries
 
     def test_matches_naive_sampled_larger(self):
         import random
@@ -51,18 +61,18 @@ class TestColor:
         for _ in range(300):
             n = rng.randrange(7, 11)
             entries = tuple(rng.sample(range(1, n + 1), n))
-            assert color(entries) == naive_color(entries), entries
+            assert mark(entries, mode="plain").colors == naive_color(entries), entries
 
     def test_running_max_shortcut_would_miscolor(self):
         # These two used to trip a cheaper detection idea that tracked
         # only the running maximum: the true rule needs the least middle
         # element over all red 132 candidates.
-        assert color((4, 5, 1, 2, 3)) == "RRRRR"
-        assert color((5, 1, 4, 2, 3)) == "RRRBB"
+        assert mark((4, 5, 1, 2, 3), mode="plain").colors == "RRRRR"
+        assert mark((5, 1, 4, 2, 3), mode="plain").colors == "RRRBB"
 
     def test_first_entry_always_red(self):
-        assert color((1,)) == "R"
-        assert color((2, 1)) == "RR"
+        assert mark((1,), mode="plain").colors == "R"
+        assert mark((2, 1), mode="plain").colors == "RR"
 
 
 class TestMark:
@@ -112,9 +122,8 @@ class TestMark:
     def test_rule4prime_forces_trailing_maxima(self, marked_by_mode):
         for n, marks in marked_by_mode["rule4prime"].items():
             for m in marks:
-                forced = set(right_to_left_maxima(m.perm)) - set(
-                    left_to_right_minima(m.perm)
-                )
+                entries = m.perm.entries
+                forced = right_to_left_maxima(entries) - left_to_right_minima(entries)
                 for pos in forced:
                     assert m.colors[pos - 1] == "B"
                     assert m.letters[pos - 1] == "D"
@@ -174,7 +183,7 @@ def marked_by_definition(entries: tuple[int, ...], mode: str) -> tuple[str, str]
     letters = list(letters_oracle(entries, colors))
     colors = list(colors)
     if mode == "rule4prime":
-        forced = set(right_to_left_maxima(entries)) - set(left_to_right_minima(entries))
+        forced = right_to_left_maxima(entries) - left_to_right_minima(entries)
         for pos in forced:
             colors[pos - 1], letters[pos - 1] = "B", "D"
     return "".join(colors), "".join(letters)
@@ -200,7 +209,7 @@ class TestKernelsAgainstDefinitions:
         for n in range(8):
             for entries in itertools.permutations(range(1, n + 1)):
                 plain = mark(entries, mode="plain").letters
-                forced = set(right_to_left_maxima(entries)) - set(left_to_right_minima(entries))
+                forced = right_to_left_maxima(entries) - left_to_right_minima(entries)
                 for pos in forced:
                     assert plain[pos - 1] in "BD", (entries, pos)
 

@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permwords import (
-    Pattern,
     Permutation,
     cli,
     contains,
     count_avoiders,
     enumerate_avoiders,
-    left_to_right_minima,
     perm_core,
-    right_to_left_maxima,
 )
 from permwords.perm_core import _count_generic, _PatternMatcher, _search_generic
 
@@ -59,25 +56,15 @@ class TestPermutation:
         assert str(big) == "1,2,3,4,5,6,7,8,9,10,11"
         assert Permutation.parse(str(big)) == big
 
-    def test_pattern_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Pattern(())
+    def test_count_rejects_empty_pattern(self):
+        for empty in ((), Permutation(())):
+            with pytest.raises(ValueError, match="pattern must be nonempty"):
+                count_avoiders(3, empty)
 
-
-class TestExtrema:
-    def test_minima_positions(self):
-        assert left_to_right_minima("3612745") == (1, 3)
-        assert left_to_right_minima((1, 2, 3)) == (1,)
-        assert left_to_right_minima((3, 2, 1)) == (1, 2, 3)
-
-    def test_maxima_positions(self):
-        assert right_to_left_maxima("3612745") == (5, 7)
-        assert right_to_left_maxima((1, 2, 3)) == (3,)
-        assert right_to_left_maxima((3, 2, 1)) == (1, 2, 3)
-
-    def test_accepts_permutation_objects(self):
-        p = Permutation.parse("3612745")
-        assert left_to_right_minima(p) == (1, 3)
+    def test_enumerate_rejects_empty_pattern(self):
+        for empty in ((), Permutation(())):
+            with pytest.raises(ValueError, match="pattern must be nonempty"):
+                next(enumerate_avoiders(3, empty))
 
 
 class TestContains:

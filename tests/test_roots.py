@@ -14,7 +14,6 @@ from permwords import (
     SEGMENT_SERIES,
     IntPolynomial,
     RootEstimate,
-    all_roots,
     certified_smallest_root,
     growth_bound,
     refine_real_root,
@@ -26,6 +25,7 @@ from permwords.roots import (
     _gcd_degree,
     _scaled,
     _zeros_inside,
+    all_roots,
     is_square_free,
 )
 from permwords.series import rf
@@ -203,11 +203,16 @@ class TestRootEstimate:
 
     def test_rejects_weak_gap(self):
         with pytest.raises(ValueError):
-            RootEstimate(0.5, 1e-12, unique_smallest=True, modulus_gap=1.0)
+            RootEstimate(0.5, 1e-12, modulus_gap=1.0)
 
     def test_accepts_strong_gap(self):
-        est = RootEstimate(0.5, 1e-12, unique_smallest=True, modulus_gap=1.5)
+        est = RootEstimate(0.5, 1e-12, modulus_gap=1.5)
         assert est.unique_smallest
+
+    def test_uniqueness_follows_the_gap(self):
+        assert not RootEstimate(0.5, 1e-12).unique_smallest
+        with pytest.raises(TypeError):
+            RootEstimate(0.5, 1e-12, unique_smallest=True)  # not a field
 
 
 class TestCertifiedRoots:

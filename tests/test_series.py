@@ -21,7 +21,6 @@ from permwords import (
     count_segments_nocb,
     expand,
     rf_equal,
-    solve_linear,
     verify_functional_equations,
 )
 from permwords.series import ONE, X, rf
@@ -69,7 +68,6 @@ class TestIntPolynomial:
         assert (p - ONE).coeffs == (0, -3, 1)
         assert (-p).coeffs == (-1, 3, -1)
         assert (p * 2).coeffs == (2, -6, 2)
-        assert ((X + ONE) ** 2).coeffs == (1, 2, 1)
 
     def test_evaluate_exact(self):
         p = IntPolynomial((1, -3, 1))
@@ -113,21 +111,6 @@ class TestRationalFunction:
         assert a - b == rf(ONE)
         assert a * (ONE - X) == rf(ONE)
         assert a / a == rf(ONE)
-
-    def test_solve_linear(self):
-        # f = x f + 1 has the unique solution 1/(1-x).
-        f = solve_linear(rf(X), rf(ONE))
-        assert f == rf(ONE, ONE - X)
-        with pytest.raises(ValueError):
-            solve_linear(rf(ONE), rf(ONE))
-
-    @given(small_polys, small_polys)
-    @settings(max_examples=100, deadline=None)
-    def test_solve_linear_satisfies_equation(self, a_num, b_num):
-        a = rf(X * a_num, ONE + X)  # constant term 0 keeps a != 1
-        b = rf(b_num, ONE + X)
-        f = solve_linear(a, b)
-        assert f == a * f + b
 
 
 class TestExpand:

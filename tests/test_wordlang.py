@@ -3,20 +3,15 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from permwords import (
     PairRule,
     brute_count_pairs,
-    cab_run_length,
     check_pair,
     count_nocb_words,
     count_segments_nocb,
     encode,
     enumerate_avoiders,
-    has_cb_factor,
-    segments,
     verify_lemma_on_avoiders,
     wordlang,
 )
@@ -38,39 +33,6 @@ PAIR_COUNTS_RUN = (1, 6, 26, 102, 386, 1441, 5352, 19842, 73523)
 
 RULE_CABB = PairRule.CAB_NEEDS_B | PairRule.CABB_NEEDS_BB
 
-words = st.text(alphabet=ALPHABET, min_size=0, max_size=10)
-
-
-class TestFactorsAndSegments:
-    def test_has_cb_factor(self):
-        assert has_cb_factor("ACBA")
-        assert has_cb_factor("CCCB")
-        assert not has_cb_factor("ABCA")
-        assert not has_cb_factor("CCC")
-        assert not has_cb_factor("")
-        for v in ("ACBX", "x", "AB C", "ACB\n"):
-            with pytest.raises(ValueError, match="not a word over ABCD"):
-                has_cb_factor(v)
-
-    def test_segments_split_before_each_a(self):
-        assert segments("ABACDBD") == ["AB", "ACDBD"]
-        assert segments("A") == ["A"]
-        assert segments("AAA") == ["A", "A", "A"]
-
-    def test_segments_drop_leading_non_a(self):
-        assert segments("CDAB") == ["AB"]
-        assert segments("CD") == []
-
-    @given(words)
-    @settings(max_examples=300, deadline=None)
-    def test_segments_reassemble(self, v):
-        parts = segments(v)
-        first_a = v.find("A")
-        assert "".join(parts) == ("" if first_a < 0 else v[first_a:])
-        for part in parts:
-            assert part.startswith("A")
-            assert "A" not in part[1:]
-
 
 class TestCounts:
     def test_segment_counts(self):
@@ -83,7 +45,7 @@ class TestCounts:
             found = sum(
                 1
                 for tail in itertools.product("BCD", repeat=n - 1)
-                if not has_cb_factor("A" + "".join(tail))
+                if "CB" not in "A" + "".join(tail)
             )
             assert count_segments_nocb(n) == found
 
@@ -95,27 +57,26 @@ class TestCounts:
             found = sum(
                 1
                 for letters in itertools.product(ALPHABET, repeat=n)
-                if not has_cb_factor("".join(letters))
+                if "CB" not in "".join(letters)
             )
             assert count_nocb_words(n) == found
 
 
 class TestCabRuns:
     def test_run_lengths(self):
-        # Runs are indexed from the rightmost A leftwards.
-        assert cab_run_length("ACABBA", 1) == 0
-        assert cab_run_length("ACABBA", 2) == 2
-        assert cab_run_length("ACABBA", 3) == 0
-        assert cab_run_length("ACABBCAB", 1) == 1
-        assert cab_run_length("ACAB", 1) == 1
+        # Runs are listed from the rightmost A leftwards.
+        assert _cab_runs("ACABBA") == [0, 2, 0]
+        assert _cab_runs("ACABBCAB") == [1, 2, 0]
+        assert _cab_runs("ACAB") == [1, 0]
+        assert _cab_runs("AB") == [0]
 
     def test_run_requires_immediate_c(self):
-        assert cab_run_length("ADAB", 1) == 0
-        assert cab_run_length("ACDAB", 1) == 0
+        assert _cab_runs("ADAB") == [0, 0]
+        assert _cab_runs("ACDAB") == [0, 0]
 
     def test_run_stops_at_non_b(self):
-        assert cab_run_length("ACABBD", 1) == 2
-        assert cab_run_length("ACABBC", 1) == 2
+        assert _cab_runs("ACABBD") == [2, 0]
+        assert _cab_runs("ACABBC") == [2, 0]
 
     def test_matches_per_a_loop_on_every_short_word(self):
         # Oracle for the split-based kernel: walk to each A and count the
@@ -136,12 +97,6 @@ class TestCabRuns:
             for letters in itertools.product(ALPHABET, repeat=length):
                 v = "".join(letters)
                 assert _cab_runs(v) == literal(v), v
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            cab_run_length("AB", 2)
-        with pytest.raises(ValueError):
-            cab_run_length("AB", 0)
 
 
 class TestCheckPair:
@@ -261,7 +216,7 @@ class TestPairCounting:
             z_groups: dict[int, dict[tuple[int, ...], int]] = {}
             for v in _words(length):
                 w_key = tuple(_cab_runs(v))  # rightmost A first
-                z_key = tuple(s.count("B") for s in segments(v))
+                z_key = tuple(s.count("B") for s in v.split("A")[1:])
                 w_group = w_groups.setdefault(v.count("A"), {})
                 z_group = z_groups.setdefault(v.count("A"), {})
                 w_group[w_key] = w_group.get(w_key, 0) + 1
