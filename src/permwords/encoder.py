@@ -122,7 +122,7 @@ def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPer
     entries = perm.entries
     letters = _red_letters(entries)
     # Right to left: C or D on each blue, and rule (4') on each right-to-left
-    # maximum above an entry before it (not a left-to-right minimum).
+    # maximum that is not a left-to-right minimum.
     blue_max = high = 0
     forced = mode == "rule4prime"
     for i in range(len(entries) - 1, -1, -1):
@@ -132,13 +132,18 @@ def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPer
             blue_max = x
         if x > high:
             high = x
-            # Rule (4') finds a B or a D here.  An A lies below every red
-            # before it, so a smaller earlier entry would be blue, and each
-            # blue has a smaller red before it.  A blue right-to-left
-            # maximum is a D.
-            if forced and i and x > min(entries[:i]):
+            # The left-to-right minima are exactly the As: an A lies below
+            # every red before it, and each blue has a smaller red before
+            # it; an entry below all before it is neither barred nor above
+            # the red minimum.  A blue right-to-left maximum is already a
+            # D, so rule (4') turns only a B into a D.
+            if forced and letters[i] == "B":
                 letters[i] = "D"
-    return MarkedPermutation(perm, "".join(letters))
+    # One letter from ABCD per entry, so MarkedPermutation's check is skipped.
+    marked = object.__new__(MarkedPermutation)
+    object.__setattr__(marked, "perm", perm)
+    object.__setattr__(marked, "letters", "".join(letters))
+    return marked
 
 
 def encode(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> WordPair:

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
@@ -358,22 +359,41 @@ def _completions_1324(m: int, tops: tuple[int, ...]) -> int:
     return sum(_completions_1324(m2, tops2) for _, m2, tops2 in _moves_1324(m, tops))
 
 
-def _walk_1324(
-    m: int, tops: tuple[int, ...], unused: list[int], prefix: list[int]
-) -> Iterator[tuple[int, ...]]:
-    """Yield every 1324-avoiding completion of `prefix`, in lexicographic order.
+def _walk_1324(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every 1324-avoider of length n, in lexicographic order.
 
-    Follows `_moves_1324` from the prefix's state; rank i is the i-th
-    smallest of the `unused` values.  As in `_completions_1324`, the last
-    value always completes the prefix.
+    Follows `_moves_1324` depth first from the empty prefix, in one frame
+    with a stack of move iterators; rank i is the i-th smallest of the
+    sorted `unused` values.  Few states serve many avoiders (103 serve the
+    15,793 of length 8), so each state's moves are derived once, in a memo
+    of this walk's own; `_completions_1324`'s cache is not touched.  As
+    there, the last value always completes the prefix.
     """
-    if len(unused) <= 1:
-        yield (*prefix, *unused)
+    unused = list(range(1, n + 1))
+    if n <= 1:
+        yield tuple(unused)
         return
-    for i, m2, tops2 in _moves_1324(m, tops):
+    memo: dict[tuple[int, tuple[int, ...]], tuple] = {}  # state -> its moves
+    prefix: list[int] = []
+    # The root's moves, then one level per entry of the prefix.
+    stack: list[Iterator] = [_moves_1324(n, (n,) * n)]
+    while stack:
+        for i, m, tops in stack[-1]:
+            break
+        else:
+            stack.pop()
+            if prefix:
+                insort(unused, prefix.pop())
+            continue
         prefix.append(unused.pop(i))
-        yield from _walk_1324(m2, tops2, unused, prefix)
-        unused.insert(i, prefix.pop())
+        if len(unused) <= 1:
+            yield (*prefix, *unused)
+            unused.insert(i, prefix.pop())
+            continue
+        moves = memo.get((m, tops))
+        if moves is None:
+            moves = memo[m, tops] = tuple(_moves_1324(m, tops))
+        stack.append(iter(moves))
 
 
 def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
@@ -412,14 +432,24 @@ def dp_state_count(q: Permutation | Sequence[int]) -> int:
     return engine.cache_info().currsize
 
 
+def _trusted(entries: tuple[int, ...]) -> Permutation:
+    """A Permutation of entries its builder knows to be exactly 1..n, unchecked."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "entries", entries)
+    return p
+
+
 def enumerate_avoiders(
     n: int, q: Permutation | Sequence[int]
 ) -> Iterator[Permutation]:
-    """Yield the q-avoiding permutations of 1..n in lexicographic order.
+    """Return the q-avoiding permutations of 1..n, lazily, in lexicographic order.
 
-    For 1324 this walks the moves of the counting DP (`_moves_1324`)
-    without touching its cache; any other pattern takes a backtracking
-    search that tests each appended value with the pattern matcher.
+    The arguments are checked at the call.  For 1324 the walk follows the
+    moves of the counting DP (`_moves_1324`) in one frame, memoising them
+    per call and leaving the counting cache alone; any other pattern
+    takes a backtracking search that tests each appended value with the
+    pattern matcher.  Both build only permutations of 1..n, so the
+    results skip `Permutation`'s check.
 
     >>> [str(p) for p in enumerate_avoiders(3, (1, 3, 2))]
     ['123', '213', '231', '312', '321']
@@ -430,8 +460,7 @@ def enumerate_avoiders(
     if not pattern:
         raise ValueError("pattern must be nonempty")
     if pattern == _PATTERN_1324:
-        walk = _walk_1324(n, (n,) * n, list(range(1, n + 1)), [])
+        walk = _walk_1324(n)
     else:
         walk = _search_generic(n, [], _PatternMatcher(pattern))
-    for entries in walk:
-        yield Permutation(entries)
+    return map(_trusted, walk)

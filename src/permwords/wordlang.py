@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .encoder import encode
-from .perm_core import Permutation, enumerate_avoiders
+from .perm_core import enumerate_avoiders
 
 __all__ = [
     "PairRule",

@@ -103,6 +103,17 @@ class TestMark:
             with pytest.raises(ValueError, match=message):
                 MarkedPermutation(perm, letters)
 
+    def test_marks_equal_checked_ones(self, avoiders_by_n):
+        # mark builds its result without MarkedPermutation's check; it must
+        # still equal, and hash like, the checked construction.
+        for n in range(8):
+            for p in avoiders_by_n[n]:
+                for mode in ("plain", "rule4prime"):
+                    m = mark(p, mode=mode)
+                    checked = MarkedPermutation(p, m.letters)
+                    assert type(m) is MarkedPermutation and type(m.letters) is str
+                    assert m == checked and hash(m) == hash(checked), (p, mode)
+
     def test_identity_permutation(self):
         m = mark(tuple(range(1, 6)), mode="plain")
         assert m.colors == "RRRRR"

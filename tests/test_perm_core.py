@@ -62,9 +62,15 @@ class TestPermutation:
                 count_avoiders(3, empty)
 
     def test_enumerate_rejects_empty_pattern(self):
+        # The bare call raises: the arguments are checked before any walk.
         for empty in ((), Permutation(())):
             with pytest.raises(ValueError, match="pattern must be nonempty"):
-                next(enumerate_avoiders(3, empty))
+                enumerate_avoiders(3, empty)
+
+    def test_enumerate_rejects_negative_length(self):
+        for pattern in ((1, 3, 2, 4), (4, 2, 3, 1)):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                enumerate_avoiders(-1, pattern)
 
 
 class TestContains:
@@ -204,6 +210,28 @@ class TestEnumerate:
             generic = {p.entries for p in enumerate_avoiders(n, (4, 2, 3, 1))}
             assert {tuple(reversed(e)) for e in generic} == fast
         assert count_avoiders(8, (4, 2, 3, 1)) == COUNTS_1324[8]
+
+    def test_listed_permutations_equal_checked_ones(self):
+        # Both engines build their results without Permutation's check; each
+        # must still equal, and hash like, the checked construction.
+        for pattern, n_max in (((1, 3, 2, 4), 7), ((4, 2, 3, 1), 6)):
+            for n in range(n_max + 1):
+                for p in enumerate_avoiders(n, pattern):
+                    checked = Permutation(p.entries)
+                    assert type(p) is Permutation and type(p.entries) is tuple
+                    assert p == checked and hash(p) == hash(checked)
+
+    def test_interleaved_walks_share_no_state(self):
+        # Each walk keeps its own stack and move memo, so advancing two
+        # walks of different lengths in turn changes neither.
+        alone = {n: list(enumerate_avoiders(n, (1, 3, 2, 4))) for n in (6, 7)}
+        walks = [enumerate_avoiders(n, (1, 3, 2, 4)) for n in (6, 7)]
+        together: dict[int, list[Permutation]] = {6: [], 7: []}
+        for pair in itertools.zip_longest(*walks):
+            for p in pair:
+                if p is not None:
+                    together[len(p)].append(p)
+        assert together == alone
 
     def test_walk_leaves_the_count_cache_alone(self):
         perm_core._completions_1324.cache_clear()

@@ -11,7 +11,6 @@ from permwords import (
     count_nocb_words,
     count_segments_nocb,
     encode,
-    enumerate_avoiders,
     verify_lemma_on_avoiders,
     wordlang,
 )
