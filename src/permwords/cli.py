@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
 from . import series, wordlang
@@ -55,80 +54,13 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
-@dataclass
-class CheckRow:
-    name: str
-    passed: bool
-    detail: str
+def _report(command: str, **inputs: Any) -> dict[str, Any]:
+    """An empty report, in the shape of its JSON document less `ok`."""
+    return dict(command=command, inputs=inputs, checks=[], tables={}, timings={}, counters={})
 
 
-@dataclass
-class ReportDocument:
-    command: str
-    inputs: dict[str, Any]
-    checks: list[CheckRow] = field(default_factory=list)
-    tables: dict[str, list[dict[str, Any]]] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
-    counters: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, name: str, passed: bool, detail: str) -> None:
-        self.checks.append(CheckRow(name, passed, detail))
-
-    def to_dict(self) -> dict[str, Any]:
-        return _jsonify(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in self.checks
-                ],
-                "tables": self.tables,
-                "timings": self.timings,
-                "counters": self.counters,
-                "ok": self.ok,
-            }
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    def render_plain(self) -> str:
-        lines = []
-        for title, rows in self.tables.items():
-            lines.append(f"[{title}]")
-            for row in rows:
-                lines.append("  " + "  ".join(f"{k}={_fmt(v)}" for k, v in row.items()))
-        for c in self.checks:
-            lines.append(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")
-        if self.checks:
-            n_bad = sum(1 for c in self.checks if not c.passed)
-            lines.append(
-                f"{len(self.checks) - n_bad}/{len(self.checks)} checks passed"
-            )
-        return "\n".join(lines)
-
-    def render_csv(self) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for title, rows in self.tables.items():
-            if rows:
-                writer.writerow([f"#{title}"])
-                writer.writerow(list(rows[0].keys()))
-                for row in rows:
-                    writer.writerow([_fmt(v) for v in row.values()])
-        if self.checks:
-            writer.writerow(["name", "passed", "detail"])
-            for c in self.checks:
-                writer.writerow([c.name, c.passed, c.detail])
-        return buf.getvalue().rstrip("\n")
+def _add_check(report: dict[str, Any], name: str, passed: bool, detail: str) -> None:
+    report["checks"].append({"name": name, "passed": passed, "detail": detail})
 
 
 def _fmt(v: Any) -> str:
@@ -137,62 +69,88 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
-def _emit(report: ReportDocument, fmt: str, out: str | None, code: int) -> int:
-    """Print the report and write its JSON to `out`; return code, or 2 if out fails."""
+def render_plain(doc: dict[str, Any]) -> str:
+    lines = []
+    for title, rows in doc["tables"].items():
+        lines.append(f"[{title}]")
+        for row in rows:
+            lines.append("  " + "  ".join(f"{k}={_fmt(v)}" for k, v in row.items()))
+    checks = doc["checks"]
+    for c in checks:
+        lines.append(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['detail']}")
+    if checks:
+        lines.append(f"{sum(c['passed'] for c in checks)}/{len(checks)} checks passed")
+    return "\n".join(lines)
+
+
+def render_csv(doc: dict[str, Any]) -> str:
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for title, rows in doc["tables"].items():
+        if rows:
+            writer.writerow([f"#{title}"])
+            writer.writerow(list(rows[0].keys()))
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row.values()])
+    if doc["checks"]:
+        writer.writerow(["name", "passed", "detail"])
+        for c in doc["checks"]:
+            writer.writerow([c["name"], c["passed"], c["detail"]])
+    return buf.getvalue().rstrip("\n")
+
+
+def _emit(report: dict[str, Any], fmt: str, out: str | None) -> int:
+    """Print the report in fmt and write its JSON to out.
+
+    Returns the exit code: 0, 1 if a check failed, or 2 if out cannot be
+    written (the report is printed either way).
+    """
+    ok = all(c["passed"] for c in report["checks"])
+    doc = _jsonify({**report, "ok": ok})
+    text = json.dumps(doc, sort_keys=True, indent=2)
     if fmt == "json":
-        print(report.to_json())
+        print(text)
     elif fmt == "csv":
-        print(report.render_csv())
+        print(render_csv(doc))
     else:
-        print(report.render_plain())
+        print(render_plain(doc))
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
+                fh.write(text + "\n")
         except OSError as exc:
             print(f"error: cannot write --out {out}: {exc.strerror or exc}", file=sys.stderr)
             return 2
-    return code
+    return 0 if ok else 1
 
 
-def _outside(flag: str, value: int, lo: int, cap: int) -> bool:
-    """Print a usage error and return True unless lo <= value <= cap."""
+def _require_range(flag: str, value: int, lo: int, cap: int) -> None:
+    """Raise ValueError, a usage error for `main`, unless lo <= value <= cap."""
     if value > cap:
-        problem = f"capped at {cap}"
-    elif value < lo:
-        problem = f"must be at least {lo}"
-    else:
-        return False
-    print(f"error: {flag} {problem}, got {value}", file=sys.stderr)
-    return True
+        raise ValueError(f"{flag} capped at {cap}, got {value}")
+    if value < lo:
+        raise ValueError(f"{flag} must be at least {lo}, got {value}")
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    try:
-        pattern = Permutation.parse(args.pattern)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pattern = Permutation.parse(args.pattern)
     cap = COUNT_CAP_1324 if pattern.entries == (1, 3, 2, 4) else COUNT_CAP
-    if _outside("--n", args.n, 0, cap):
-        return 2
-    report = ReportDocument("count", {"pattern": str(pattern), "n": args.n})
+    _require_range("--n", args.n, 0, cap)
+    report = _report("count", pattern=str(pattern), n=args.n)
     t0 = time.perf_counter()
-    rows = []
-    for n in range(args.n + 1):
-        rows.append({"n": n, "avoiders": count_avoiders(n, pattern)})
-    report.tables["avoider-counts"] = rows
-    report.timings["count"] = time.perf_counter() - t0
-    report.counters["dp_states"] = dp_state_count(pattern)
-    return _emit(report, args.format, args.out, 0)
+    report["tables"]["avoider-counts"] = [
+        {"n": n, "avoiders": count_avoiders(n, pattern)} for n in range(args.n + 1)
+    ]
+    report["timings"]["count"] = time.perf_counter() - t0
+    report["counters"]["dp_states"] = dp_state_count(pattern)
+    return _emit(report, args.format, args.out)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    try:
-        perm = Permutation.parse(args.perm)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    perm = Permutation.parse(args.perm)
     marked = mark(perm, mode=args.mode)
     w, z = marked.word_pair()
     if args.format == "json":
@@ -213,10 +171,10 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _suite_injectivity(report: ReportDocument, n_max: int) -> None:
+def _suite_injectivity(report: dict[str, Any]) -> None:
     # decode is a left inverse of the encoding, so a round trip per avoider
     # proves injectivity without keeping the pairs seen.
-    t0 = time.perf_counter()
+    n_max = report["inputs"]["n"]
     modes = ("plain", "rule4prime")
     failure: dict[str, str] = {}
     total = 0
@@ -232,21 +190,17 @@ def _suite_injectivity(report: ReportDocument, n_max: int) -> None:
                     continue
                 if back != p.entries:
                     failure.setdefault(mode, f"{p} -> ({w}, {z}) decodes to {back}")
-    report.counters["injectivity_avoiders"] = total
-    report.counters["pairs_decoded"] = total * len(modes)
+    report["counters"]["injectivity_avoiders"] = total
+    report["counters"]["pairs_decoded"] = total * len(modes)
     for mode in modes:
-        report.add(
-            f"injectivity-{mode}",
-            mode not in failure,
-            f"{total} avoiders with n<={n_max} map to distinct pairs"
-            if mode not in failure
-            else f"round trip fails at {failure[mode]}",
-        )
-    report.timings["injectivity"] = time.perf_counter() - t0
+        detail = f"{total} avoiders with n<={n_max} map to distinct pairs"
+        if mode in failure:
+            detail = f"round trip fails at {failure[mode]}"
+        _add_check(report, f"injectivity-{mode}", mode not in failure, detail)
 
 
-def _suite_lemmas(report: ReportDocument, n_max: int) -> None:
-    t0 = time.perf_counter()
+def _suite_lemmas(report: dict[str, Any]) -> None:
+    n_max = report["inputs"]["n"]
     checked = 0
     bad: dict[str, list[str]] = {}
     for n in range(1, n_max + 1):
@@ -255,19 +209,19 @@ def _suite_lemmas(report: ReportDocument, n_max: int) -> None:
         for rule, violations in r.violations.items():
             bad.setdefault(rule, []).extend(f"n={n}:{v}" for v in violations)
     # One encoded pair per avoider, each through one base screen.
-    report.counters["lemma_avoiders"] = report.counters["pairs_screened"] = checked
+    report["counters"]["lemma_avoiders"] = report["counters"]["pairs_screened"] = checked
     for rule, found in bad.items():
-        report.add(
+        _add_check(
+            report,
             f"avoider-pairs-{rule.replace('_', '-')}",
             not found,
             f"{checked} avoiders checked for n<={n_max}, "
             + (f"violations: {found[:3]}" if found else "0 violations"),
         )
-    report.timings["lemmas"] = time.perf_counter() - t0
 
 
-def _suite_gf(report: ReportDocument, cap: int) -> None:
-    t0 = time.perf_counter()
+def _suite_gf(report: dict[str, Any]) -> None:
+    cap = report["inputs"]["cap_pairs"]
     rules = {
         "cab": (series.PAIR_SERIES_CAB, PairRule.CAB_NEEDS_B),
         "cabb": (series.PAIR_SERIES_CABB, PairRule.CABB_NEEDS_BB),
@@ -281,49 +235,47 @@ def _suite_gf(report: ReportDocument, cap: int) -> None:
         )
     for check in verify_functional_equations():
         if check.status == "exact":
-            report.add(
-                f"{check.name}-identity",
-                check.ok,
-                f"exact identity, residual numerator {list(check.residual_num or ())}",
-            )
+            passed = check.ok
+            detail = f"exact identity, residual numerator {list(check.residual_num or ())}"
         else:
             # No identity to replay: the row stands on the series' comparison.
-            report.add(
-                f"{check.name}-identity",
-                exhaustive[check.name.removeprefix("pairs-")],
+            passed = exhaustive[check.name.removeprefix("pairs-")]
+            detail = (
                 f"{check.status}; {check.note}; checked against exhaustive pair "
-                f"counts instead (2..{cap})",
+                f"counts instead (2..{cap})"
             )
+        _add_check(report, f"{check.name}-identity", passed, detail)
     for name, ok in exhaustive.items():
-        report.add(
+        _add_check(
+            report,
             f"pairs-{name}-vs-exhaustive",
             ok,
             f"series coefficients equal exhaustive pair counts for 2<=n<={cap}",
         )
-    report.counters["signature_keys"] = wordlang.signature_key_count(cap - 1)
+    report["counters"]["signature_keys"] = wordlang.signature_key_count(cap - 1)
     seg = expand(series.SEGMENT_SERIES, 12)
     seg_ok = all(seg[n] == wordlang.count_segments_nocb(n) for n in range(13))
-    report.add("segment-series-vs-count", seg_ok, "coefficients 0..12 agree")
+    _add_check(report, "segment-series-vs-count", seg_ok, "coefficients 0..12 agree")
     nocb = expand(series.NOCB_WORD_SERIES, 12)
     nocb_ok = all(nocb[n] == wordlang.count_nocb_words(n) for n in range(13))
-    report.add("nocb-series-vs-count", nocb_ok, "coefficients 0..12 agree")
-    report.timings["gf"] = time.perf_counter() - t0
+    _add_check(report, "nocb-series-vs-count", nocb_ok, "coefficients 0..12 agree")
 
 
-def _check_bounds(report: ReportDocument) -> list[dict[str, Any]]:
+def _check_bounds(report: dict[str, Any]) -> list[dict[str, Any]]:
     """Add one check per row of BOUND_ROWS; returns the certified rows."""
     rows = []
     for name, gf, reference, tolerance in BOUND_ROWS:
         try:
             bound = growth_bound(gf)
         except CertificateError as exc:
-            report.add(name, False, f"certificate failed: {exc}")
+            _add_check(report, name, False, f"certificate failed: {exc}")
             continue
         delta = abs(bound - reference)
         rows.append(
             {"name": name, "computed": bound, "reference": reference, "delta": delta}
         )
-        report.add(
+        _add_check(
+            report,
             name,
             delta <= tolerance,
             f"computed {bound:.10f}, reference {reference}, |delta| "
@@ -332,64 +284,63 @@ def _check_bounds(report: ReportDocument) -> list[dict[str, Any]]:
     return rows
 
 
-def _suite_roots(report: ReportDocument) -> None:
-    t0 = time.perf_counter()
+def _suite_roots(report: dict[str, Any]) -> None:
     _check_bounds(report)
     est = certified_smallest_root(series.PAIR_SERIES_CAB.den)
-    report.add(
+    _add_check(
+        report,
         "alpha-digits",
         abs(est.value - 0.2695867676) <= 1e-9,
         f"alpha = {est.value:.12f} +- {est.radius:.2g}, "
         f"unique smallest (gap {est.modulus_gap:.4f})",
     )
-    report.add(
+    _add_check(
+        report,
         "beta-digits",
         abs(1 / est.value - 3.709381) <= 1e-6,
         f"1/alpha = {1 / est.value:.10f} against printed 3.709381",
     )
-    report.timings["roots"] = time.perf_counter() - t0
+
+
+# verify's suites, in report order; each reads its inputs from the report
+# and is timed under its name.
+SUITES = (
+    ("injectivity", _suite_injectivity),
+    ("lemmas", _suite_lemmas),
+    ("gf", _suite_gf),
+    ("roots", _suite_roots),
+)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # Below n = 1 the sweeps check no avoider, and below a total length of
     # 2 no pair: every such check would run over an empty range and pass.
-    if _outside("--n", args.n, 1, wordlang.LEMMA_CAP) or _outside(
-        "--cap-pairs", args.cap_pairs, 2, wordlang.PAIR_CAP
-    ):
-        return 2
-    report = ReportDocument(
-        "verify", {"suite": args.suite, "n": args.n, "cap_pairs": args.cap_pairs}
-    )
-    if args.suite in ("injectivity", "all"):
-        _suite_injectivity(report, args.n)
-    if args.suite in ("lemmas", "all"):
-        _suite_lemmas(report, args.n)
-    if args.suite in ("gf", "all"):
-        _suite_gf(report, args.cap_pairs)
-    if args.suite in ("roots", "all"):
-        _suite_roots(report)
-    return _emit(report, args.format, args.out, 0 if report.ok else 1)
+    _require_range("--n", args.n, 1, wordlang.LEMMA_CAP)
+    _require_range("--cap-pairs", args.cap_pairs, 2, wordlang.PAIR_CAP)
+    report = _report("verify", suite=args.suite, n=args.n, cap_pairs=args.cap_pairs)
+    for name, suite in SUITES:
+        if args.suite in (name, "all"):
+            t0 = time.perf_counter()
+            suite(report)
+            report["timings"][name] = time.perf_counter() - t0
+    return _emit(report, args.format, args.out)
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     # Below n = 1 the chain check runs over no length and passes.
-    if _outside("--n", args.n, 1, COUNT_CAP_1324):
-        return 2
-    report = ReportDocument("reproduce", {"n": args.n})
+    _require_range("--n", args.n, 1, COUNT_CAP_1324)
+    report = _report("reproduce", n=args.n)
     t0 = time.perf_counter()
-    report.tables["bounds"] = _check_bounds(report)
-    report.timings["bounds"] = time.perf_counter() - t0
+    report["tables"]["bounds"] = _check_bounds(report)
+    report["timings"]["bounds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     h = expand(series.PAIR_SERIES_CAB, 2 * args.n)
     k = expand(series.PAIR_SERIES_CABB, 2 * args.n)
     t = expand(series.PAIR_SERIES_CAB_RUN, 2 * args.n)
     chain_rows = []
-    chain_ok = True
     for n in range(1, args.n + 1):
         s_n = count_avoiders(n, (1, 3, 2, 4))
-        ok = s_n <= t[2 * n] <= k[2 * n] <= h[2 * n]
-        chain_ok = chain_ok and ok
         chain_rows.append(
             {
                 "n": n,
@@ -397,18 +348,19 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 "pairs_cab_run": t[2 * n],
                 "pairs_cabb": k[2 * n],
                 "pairs_cab": h[2 * n],
-                "chain_holds": ok,
+                "chain_holds": s_n <= t[2 * n] <= k[2 * n] <= h[2 * n],
             }
         )
-    report.tables["chain"] = chain_rows
-    report.add(
+    report["tables"]["chain"] = chain_rows
+    _add_check(
+        report,
         "avoiders-within-pair-counts",
-        chain_ok,
+        all(row["chain_holds"] for row in chain_rows),
         f"avoider count <= run <= cabb <= cab pair counts at every n<={args.n}",
     )
-    report.timings["chain"] = time.perf_counter() - t0
-    report.counters["dp_states"] = dp_state_count((1, 3, 2, 4))
-    return _emit(report, args.format, args.out, 0 if report.ok else 1)
+    report["timings"]["chain"] = time.perf_counter() - t0
+    report["counters"]["dp_states"] = dp_state_count((1, 3, 2, 4))
+    return _emit(report, args.format, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count pattern-avoiding permutations")
     p_count.add_argument("--pattern", default="1324")
     p_count.add_argument("--n", type=int, default=8, help="max length (capped per engine)")
-    p_count.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p_count.add_argument("--out", default=None, help="also write the JSON report here")
     p_count.set_defaults(func=cmd_count)
 
     p_encode = sub.add_parser("encode", help="encode one permutation")
@@ -433,23 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument(
-        "--suite",
-        choices=("injectivity", "lemmas", "gf", "roots", "all"),
-        default="all",
+        "--suite", choices=(*(name for name, _ in SUITES), "all"), default="all"
     )
     p_verify.add_argument("--n", type=int, default=8, help=f"1..{wordlang.LEMMA_CAP}")
     p_verify.add_argument(
         "--cap-pairs", type=int, default=12, help=f"2..{wordlang.PAIR_CAP}"
     )
-    p_verify.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_rep = sub.add_parser("reproduce", help="reproduce bound table and count chain")
     p_rep.add_argument("--n", type=int, default=10, help=f"chain length (1..{COUNT_CAP_1324})")
-    p_rep.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p_rep.add_argument("--out", default=None)
     p_rep.set_defaults(func=cmd_reproduce)
+
+    for p in (p_count, p_verify, p_rep):
+        p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+        p.add_argument("--out", default=None, help="also write the JSON report here")
 
     return parser
 

@@ -87,15 +87,15 @@ class MarkedPermutation:
 
 
 def _red_letters(entries: tuple[int, ...]) -> list[str]:
-    """One greedy pass: A or B on each red entry, C on each blue one.
+    """One greedy pass over a permutation of 1..n: A or B on each red, C on each blue.
 
     A red x bars the values between the red minimum before it and itself,
     as each would be the 2 of a 132 with that minimum and x.  A red below
-    the red minimum is an A, any other red a B.
+    the red minimum, at first n + 1, is an A, any other red a B.
     """
     out = []
     barred = 0
-    low = max(entries, default=0) + 1  # the red minimum so far
+    low = len(entries) + 1  # the red minimum so far
     for x in entries:
         if barred >> x & 1:
             out.append("C")

@@ -40,8 +40,8 @@ _NOT_LETTERS = str.maketrans("", "", ALPHABET)  # translate() keeps only the res
 # pair work takes 0.17 s and 32 MB at n = 16, about doubling per n.
 PAIR_CAP = 16
 # Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).  On a
-# 2-core Xeon VM `verify --suite all --n 10` takes 68 s and 18 MB; past the
-# cap, n = 11 (3.8M more avoiders) took 433 s, of which the lemmas took 161 s.
+# 2-core Xeon VM `verify --suite all --n 10` takes 38 s and 17.4 MB; n = 11
+# (3.8M more) took 433 s, 161 s in the lemmas, before the sweeps' one-frame walk.
 LEMMA_CAP = 10
 
 

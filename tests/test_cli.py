@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -256,6 +258,37 @@ class TestVerify:
         code, out, _ = run_main(["verify", "--suite", "roots"], capsys)
         assert code == 1
         assert "FAIL  bound-baseline:" in out
+
+    def test_failing_check_in_plain_and_csv(self, capsys, monkeypatch):
+        # Both renderings come from the one report: the plain footer counts
+        # the failure, and the CSV has one row per check under its header.
+        rows = [list(r) for r in cli.BOUND_ROWS]
+        rows[0][2] = 99.0
+        monkeypatch.setattr(cli, "BOUND_ROWS", [tuple(r) for r in rows])
+        argv = ["verify", "--suite", "roots", "--format", "json"]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        n = len(checks)
+        assert n == 6
+        code, out, _ = run_main(argv[:-1] + ["plain"], capsys)
+        assert code == 1
+        assert out.splitlines()[-1] == f"{n - 1}/{n} checks passed"
+        code, out, _ = run_main(argv[:-1] + ["csv"], capsys)
+        assert code == 1
+        table = list(csv.reader(io.StringIO(out)))
+        assert table[0] == ["name", "passed", "detail"]
+        assert table[1:] == [[c["name"], str(c["passed"]), c["detail"]] for c in checks]
+        assert table[1][:2] == ["bound-baseline", "False"]
+
+    def test_out_file_equals_json_stdout(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        argv = ["verify", "--suite", "all", "--n", "4", "--cap-pairs", "6"]
+        code, out, _ = run_main([*argv, "--format", "json", "--out", str(target)], capsys)
+        assert code == 0
+        # print adds the newline that the file write adds itself.
+        assert target.read_text(encoding="utf-8") == out
+        assert json.loads(out)["ok"] is True
 
     def test_out_file_written(self, capsys, tmp_path):
         target = tmp_path / "report.json"
