@@ -128,34 +128,53 @@ def _emit(report: dict[str, Any], fmt: str, out: str | None) -> int:
 
 
 def _require_range(flag: str, value: int, lo: int, cap: int) -> None:
-    """Raise ValueError, a usage error for `main`, unless lo <= value <= cap."""
+    """Raise ValueError unless lo <= value <= cap."""
     if value > cap:
         raise ValueError(f"{flag} capped at {cap}, got {value}")
     if value < lo:
         raise ValueError(f"{flag} must be at least {lo}, got {value}")
 
 
+def _check_args(args: argparse.Namespace) -> None:
+    """Parse the permutations and range-check the sizes, before any work.
+
+    A ValueError raised here is a usage error; one raised by a command is
+    a fault and propagates.
+    """
+    if args.command == "count":
+        args.pattern = Permutation.parse(args.pattern)
+        cap = COUNT_CAP_1324 if args.pattern.entries == (1, 3, 2, 4) else COUNT_CAP
+        _require_range("--n", args.n, 0, cap)
+    elif args.command == "encode":
+        args.perm = Permutation.parse(args.perm)
+    elif args.command == "verify":
+        # Below n = 1 the sweeps check no avoider, and below a total length
+        # of 2 no pair: every such check would run over an empty range and
+        # pass.
+        _require_range("--n", args.n, 1, wordlang.LEMMA_CAP)
+        _require_range("--cap-pairs", args.cap_pairs, 2, wordlang.PAIR_CAP)
+    elif args.command == "reproduce":
+        # Below n = 1 the chain check runs over no length and passes.
+        _require_range("--n", args.n, 1, COUNT_CAP_1324)
+
+
 def cmd_count(args: argparse.Namespace) -> int:
-    pattern = Permutation.parse(args.pattern)
-    cap = COUNT_CAP_1324 if pattern.entries == (1, 3, 2, 4) else COUNT_CAP
-    _require_range("--n", args.n, 0, cap)
-    report = _report("count", pattern=str(pattern), n=args.n)
+    report = _report("count", pattern=str(args.pattern), n=args.n)
     t0 = time.perf_counter()
     report["tables"]["avoider-counts"] = [
-        {"n": n, "avoiders": count_avoiders(n, pattern)} for n in range(args.n + 1)
+        {"n": n, "avoiders": count_avoiders(n, args.pattern)} for n in range(args.n + 1)
     ]
     report["timings"]["count"] = time.perf_counter() - t0
-    report["counters"]["dp_states"] = dp_state_count(pattern)
+    report["counters"]["dp_states"] = dp_state_count(args.pattern)
     return _emit(report, args.format, args.out)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    perm = Permutation.parse(args.perm)
-    marked = mark(perm, mode=args.mode)
+    marked = mark(args.perm, mode=args.mode)
     w, z = marked.word_pair()
     if args.format == "json":
         doc = {
-            "entries": list(perm.entries),
+            "entries": list(args.perm.entries),
             "colors": marked.colors,
             "letters": marked.letters,
             "mode": args.mode,
@@ -164,7 +183,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        print(f"p      {perm}")
+        print(f"p      {args.perm}")
         print(f"colors {marked.colors}")
         print(f"w      {w}")
         print(f"z      {z}")
@@ -313,10 +332,6 @@ SUITES = (
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # Below n = 1 the sweeps check no avoider, and below a total length of
-    # 2 no pair: every such check would run over an empty range and pass.
-    _require_range("--n", args.n, 1, wordlang.LEMMA_CAP)
-    _require_range("--cap-pairs", args.cap_pairs, 2, wordlang.PAIR_CAP)
     report = _report("verify", suite=args.suite, n=args.n, cap_pairs=args.cap_pairs)
     for name, suite in SUITES:
         if args.suite in (name, "all"):
@@ -327,8 +342,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    # Below n = 1 the chain check runs over no length and passes.
-    _require_range("--n", args.n, 1, COUNT_CAP_1324)
     report = _report("reproduce", n=args.n)
     t0 = time.perf_counter()
     report["tables"]["bounds"] = _check_bounds(report)
@@ -406,10 +419,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _check_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":

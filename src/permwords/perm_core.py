@@ -1,4 +1,10 @@
-"""Permutations, pattern containment, and pattern-avoidance counting.
+"""Permutations, pattern containment, and counting and listing avoiders.
+
+One dynamic program per pattern does all three jobs: a DP for 1324 and a
+generic one for every other pattern.  Each describes the moves from a
+prefix's state, the ranks that the next entry may take.  Counting sums
+over the moves, listing walks them depth first (`_walk`), and
+containment runs the generic DP on the host as a prefix.
 
 Conventions used throughout the package:
 
@@ -13,9 +19,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from math import factorial
 
 __all__ = [
@@ -78,103 +84,32 @@ def _entries_of(p: Permutation | Sequence[int]) -> tuple[int, ...]:
     return tuple(p)
 
 
-class _PatternMatcher:
-    """Backtracking matcher for one fixed pattern.
-
-    Slots are matched left to right; each candidate entry must sit inside
-    the open value window determined by the already-matched slots, which
-    prunes most branches long before all positions are tried.
-    """
-
-    def __init__(self, pattern: Sequence[int]):
-        self.pattern = tuple(pattern)
-        k = len(self.pattern)
-        # smaller[j] / larger[j]: earlier slots whose pattern value is
-        # below / above slot j's pattern value.
-        self.smaller: list[tuple[int, ...]] = []
-        self.larger: list[tuple[int, ...]] = []
-        for j in range(k):
-            self.smaller.append(
-                tuple(i for i in range(j) if self.pattern[i] < self.pattern[j])
-            )
-            self.larger.append(
-                tuple(i for i in range(j) if self.pattern[i] > self.pattern[j])
-            )
-        # below_last[j]: slot j's pattern value sits below the final slot's.
-        self.below_last = tuple(
-            self.pattern[j] < self.pattern[k - 1] for j in range(max(k - 1, 0))
-        )
-
-    def found_ending_with(self, entries: Sequence[int], value: int) -> bool:
-        """Would appending `value` complete an occurrence ending there?"""
-        k = len(self.pattern)
-        if k == 1:
-            return True
-        if len(entries) < k - 1:
-            return False
-        chosen = [0] * (k - 1)
-        n = len(entries)
-
-        def extend(slot: int, start: int) -> bool:
-            last = slot == k - 2
-            below = self.below_last[slot]
-            for pos in range(start, n - (k - 2 - slot)):
-                v = entries[pos]
-                if (v < value) != below:
-                    continue
-                if any(v <= chosen[i] for i in self.smaller[slot]):
-                    continue
-                if any(v >= chosen[i] for i in self.larger[slot]):
-                    continue
-                chosen[slot] = v
-                if last or extend(slot + 1, pos + 1):
-                    return True
-            return False
-
-        return extend(0, 0)
-
-
 def contains(
     p: Permutation | Sequence[int], q: Permutation | Sequence[int]
 ) -> bool:
     """True when p has a subsequence order-isomorphic to q.
+
+    Counts, with the generic DP, the q-avoiders of p's length that start
+    with p: that is p alone when p avoids q, and none otherwise.  Like that
+    DP, it takes p of length at most 31 and raises ValueError beyond.  p
+    and q may hold any distinct values; a repeated value raises ValueError.
 
     >>> contains(Permutation.parse("2537164"), (1, 3, 2, 4))
     True
     >>> contains(Permutation.parse("3612745"), (1, 3, 2, 4))
     False
     """
-    entries, matcher = _entries_of(p), _PatternMatcher(_entries_of(q))
-    # The empty pattern occurs in every p; found_ending_with needs a slot.
-    return not matcher.pattern or any(
-        matcher.found_ending_with(entries[:i], v) for i, v in enumerate(entries)
-    )
+    # Repeated entries have no order type, so Permutation refuses them.
+    entries = Permutation(_flatten(_entries_of(p))).entries
+    pattern = Permutation(_flatten(_entries_of(q))).entries
+    # The empty pattern occurs in every p; the DP needs a slot to match.
+    return not pattern or not _count_generic(len(entries), list(entries), pattern)
 
 
 _PATTERN_1324 = (1, 3, 2, 4)
 
 
-def _search_generic(
-    n: int, prefix: list[int], matcher: _PatternMatcher
-) -> Iterator[tuple[int, ...]]:
-    """Yield every completion of `prefix` that avoids the matcher's pattern.
-
-    Plain backtracking, in lexicographic order.  It shares nothing with the
-    1324 DP, so the tests use it as the independent oracle of `_walk_1324`.
-    """
-    if len(prefix) == n:
-        yield tuple(prefix)
-        return
-    used = set(prefix)
-    for v in range(1, n + 1):
-        if v in used or matcher.found_ending_with(prefix, v):
-            continue
-        prefix.append(v)
-        yield from _search_generic(n, prefix, matcher)
-        prefix.pop()
-
-
-# The generic count keeps, for a prefix, the occurrences of q[:j] in it
+# The generic DP keeps, for a prefix, the occurrences of q[:j] in it
 # that a suffix could still complete.  Only the order of the r unused
 # values matters, so each is named by its rank among them, and an
 # occurrence of q[:j] matters only through its windows: for each later
@@ -273,6 +208,20 @@ def _step(
     return tuple(sorted(occ for occ, _ in kept))
 
 
+def _moves_generic(
+    q: tuple[int, ...], r: int, state: tuple[int, ...]
+) -> Iterator[tuple[int, tuple[int, tuple[int, ...]]]]:
+    """Yield (x, next state) for each rank x a q-avoider may append.
+
+    A state is the number r of unused values and the packed occurrences
+    that `_step` keeps.
+    """
+    for x in range(r):
+        nxt = _step(q, r, state, x)
+        if nxt is not None:
+            yield x, (r - 1, nxt)
+
+
 @cache
 def _completions_generic(q: tuple[int, ...], r: int, state: tuple[int, ...]) -> int:
     """Number of ways to finish a q-avoiding prefix, from its packed state.
@@ -284,12 +233,13 @@ def _completions_generic(q: tuple[int, ...], r: int, state: tuple[int, ...]) -> 
     """
     if r == 0:
         return 1
-    total = 0
-    for x in range(r):
-        nxt = _step(q, r, state, x)
-        if nxt is not None:
-            total += _completions_generic(q, r - 1, nxt)
-    return total
+    return sum(_completions_generic(q, *s) for _, s in _moves_generic(q, r, state))
+
+
+def _require_generic(n: int) -> None:
+    """Raise ValueError unless n fits the generic DP's packed ranks."""
+    if n >= _W:
+        raise ValueError(f"the generic DP handles n <= {_W - 1}, got {n}")
 
 
 def _count_generic(n: int, prefix: list[int], q: tuple[int, ...]) -> int:
@@ -297,8 +247,7 @@ def _count_generic(n: int, prefix: list[int], q: tuple[int, ...]) -> int:
 
     `q` is the pattern as a permutation of 1..k.
     """
-    if n >= _W:
-        raise ValueError(f"the generic count handles n <= {_W - 1}, got {n}")
+    _require_generic(n)
     state: tuple[int, ...] | None = ()
     used: list[int] = []
     for v in prefix:
@@ -317,16 +266,16 @@ def _flatten(entries: tuple[int, ...]) -> tuple[int, ...]:
 
 def _moves_1324(
     m: int, tops: tuple[int, ...]
-) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """Yield (i, next m, next tops) for each rank i a 1324-avoider may append.
+) -> Iterator[tuple[int, tuple[int, tuple[int, ...]]]]:
+    """Yield (i, next state) for each rank i a 1324-avoider may append.
 
-    The state of a 1324-avoiding prefix is rank-compressed: only the order
-    of the r unused values matters, so each is named by its rank among
-    them.  `m` is the number of unused values below the prefix minimum.
-    For the unused value w of rank j, let h(w) be the least used value
-    above w that follows some used value below w: appending w closes a 132
-    occurrence topped by h(w).  `tops[j]` is the number of unused values
-    below h(w), or r when there is no such value.
+    The state (m, tops) of a 1324-avoiding prefix is rank-compressed: only
+    the order of the r unused values matters, so each is named by its rank
+    among them.  `m` is the number of unused values below the prefix
+    minimum.  For the unused value w of rank j, let h(w) be the least used
+    value above w that follows some used value below w: appending w closes
+    a 132 occurrence topped by h(w).  `tops[j]` is the number of unused
+    values below h(w), or r when there is no such value.
 
     Every 132 occurrence in a prefix that reaches this state is topped
     above all unused values (otherwise no completion avoids 1324), so
@@ -345,7 +294,7 @@ def _moves_1324(
         del nxt[i]
         for j in range(m, i):
             nxt[j] = min(tops[j], i)
-        yield i, min(m, i), tuple(nxt)
+        yield i, (min(m, i), tuple(nxt))
 
 
 @cache
@@ -356,29 +305,33 @@ def _completions_1324(m: int, tops: tuple[int, ...]) -> int:
     """
     if len(tops) <= 1:
         return 1
-    return sum(_completions_1324(m2, tops2) for _, m2, tops2 in _moves_1324(m, tops))
+    return sum(_completions_1324(*s) for _, s in _moves_1324(m, tops))
 
 
-def _walk_1324(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every 1324-avoider of length n, in lexicographic order.
+def _walk(
+    n: int, moves: Callable[..., Iterator[tuple[int, tuple]]], root: tuple
+) -> Iterator[tuple[int, ...]]:
+    """Yield the permutations of 1..n that `moves` allows, in lexicographic order.
 
-    Follows `_moves_1324` depth first from the empty prefix, in one frame
-    with a stack of move iterators; rank i is the i-th smallest of the
-    sorted `unused` values.  Few states serve many avoiders (103 serve the
-    15,793 of length 8), so each state's moves are derived once, in a memo
-    of this walk's own; `_completions_1324`'s cache is not touched.  As
-    there, the last value always completes the prefix.
+    Follows `moves(*state)` depth first from `root`, the empty prefix's
+    state, in one frame with a stack of move iterators; rank i is the i-th
+    smallest of the sorted `unused` values.  Few states serve many avoiders
+    (104 serve the 15,793 1324-avoiders of length 8), so each state's moves
+    are derived once, in a memo of this walk's own; the counting caches are
+    not touched.  A 1324 move always leads to a state with a completion; a
+    generic one may not, so a generic walk also passes through prefixes
+    that no avoider starts with.
     """
     unused = list(range(1, n + 1))
-    if n <= 1:
-        yield tuple(unused)
+    if n == 0:
+        yield ()  # the empty permutation avoids every nonempty pattern
         return
-    memo: dict[tuple[int, tuple[int, ...]], tuple] = {}  # state -> its moves
+    memo: dict[tuple, tuple] = {}  # state -> its moves
     prefix: list[int] = []
     # The root's moves, then one level per entry of the prefix.
-    stack: list[Iterator] = [_moves_1324(n, (n,) * n)]
+    stack: list[Iterator] = [moves(*root)]
     while stack:
-        for i, m, tops in stack[-1]:
+        for i, state in stack[-1]:
             break
         else:
             stack.pop()
@@ -386,14 +339,17 @@ def _walk_1324(n: int) -> Iterator[tuple[int, ...]]:
                 insort(unused, prefix.pop())
             continue
         prefix.append(unused.pop(i))
-        if len(unused) <= 1:
-            yield (*prefix, *unused)
-            unused.insert(i, prefix.pop())
+        nxt = memo.get(state)
+        if nxt is None:
+            nxt = memo[state] = tuple(moves(*state))
+        if len(unused) > 1:
+            stack.append(iter(nxt))
             continue
-        moves = memo.get((m, tops))
-        if moves is None:
-            moves = memo[m, tops] = tuple(_moves_1324(m, tops))
-        stack.append(iter(moves))
+        # The last value takes no level of its own: it completes the
+        # prefix when its state has a move.  (At n = 1 none is left.)
+        if nxt or not unused:
+            yield (*prefix, *unused)
+        unused.insert(i, prefix.pop())
 
 
 def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
@@ -403,10 +359,10 @@ def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
     (`_moves_1324`) counts without listing the avoiders: n = 18 visits
     about 112k states and takes 1.7 s and 47 MB on a 2-core Xeon VM.  Any
     other pattern takes the generic DP over the windows of partial
-    occurrences (`_completions_generic`), which does not list them either:
-    all n <= 13 of 4231 take 0.5 s (5.9k states, 18 MB), of any pattern of
+    occurrences (`_moves_generic`), which does not list them either: all
+    n <= 13 of 4231 take 0.5 s (5.9k states, 18 MB), of any pattern of
     length 4 at most 1.2 s, and of the length-5 to length-7 patterns tried
-    4-9 s and 33-50 MB.
+    4-9 s and 33-50 MB.  The generic DP takes n <= 31.
 
     >>> count_avoiders(4, (1, 3, 2, 4))
     23
@@ -444,12 +400,11 @@ def enumerate_avoiders(
 ) -> Iterator[Permutation]:
     """Return the q-avoiding permutations of 1..n, lazily, in lexicographic order.
 
-    The arguments are checked at the call.  For 1324 the walk follows the
-    moves of the counting DP (`_moves_1324`) in one frame, memoising them
-    per call and leaving the counting cache alone; any other pattern
-    takes a backtracking search that tests each appended value with the
-    pattern matcher.  Both build only permutations of 1..n, so the
-    results skip `Permutation`'s check.
+    The arguments are checked at the call, the generic DP's cap of
+    n <= 31 included.  The walk follows the moves of the pattern's
+    counting DP (`_moves_1324` or `_moves_generic`) in one frame, memoising
+    them per call and leaving the counting caches alone.  It builds only
+    permutations of 1..n, so the results skip `Permutation`'s check.
 
     >>> [str(p) for p in enumerate_avoiders(3, (1, 3, 2))]
     ['123', '213', '231', '312', '321']
@@ -460,7 +415,8 @@ def enumerate_avoiders(
     if not pattern:
         raise ValueError("pattern must be nonempty")
     if pattern == _PATTERN_1324:
-        walk = _walk_1324(n)
+        walk = _walk(n, _moves_1324, (n, (n,) * n))
     else:
-        walk = _search_generic(n, [], _PatternMatcher(pattern))
+        _require_generic(n)
+        walk = _walk(n, partial(_moves_generic, pattern), (n, ()))
     return map(_trusted, walk)

@@ -266,32 +266,6 @@ def brute_count_pairs(n: int, rules: PairRule = PairRule.NONE) -> int:
     return total
 
 
-def _words(length: int) -> Iterator[str]:
-    """Every CB-free word of the given length that starts with A."""
-
-    def grow(prefix: list[str]) -> Iterator[str]:
-        if len(prefix) == length:
-            yield "".join(prefix)
-            return
-        for letter in ALPHABET:
-            if letter == "B" and prefix[-1] == "C":
-                continue
-            prefix.append(letter)
-            yield from grow(prefix)
-            prefix.pop()
-
-    if length >= 1:
-        yield from grow(["A"])
-
-
-def _all_pairs(n: int) -> Iterator[tuple[str, str]]:
-    """Every (w, z) with |w|+|z| = n, both CB-free and starting with A."""
-    for a in range(1, n):
-        for w in _words(a):
-            for z in _words(n - a):
-                yield w, z
-
-
 @dataclass(frozen=True)
 class AvoiderPairReport:
     """Outcome of screening the encoded pairs of all 1324-avoiders.

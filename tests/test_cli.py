@@ -108,6 +108,17 @@ class TestUsageErrors:
             assert err == f"error: cannot write --out {target}: No such file or directory\n"
             assert not target.parent.exists()
 
+    def test_library_fault_is_not_a_usage_error(self, capsys, monkeypatch):
+        # Only the argument check's errors are usage errors; a ValueError
+        # raised inside a suite propagates with its traceback.
+        def fault(w, z, rules):
+            raise ValueError("internal: bad state")
+
+        monkeypatch.setattr(wordlang, "check_pair", fault)
+        with pytest.raises(ValueError, match="internal: bad state"):
+            cli.main(["verify", "--suite", "lemmas", "--n", "3"])
+        assert "error:" not in capsys.readouterr().err
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from math import factorial
 
 import pytest
@@ -15,7 +16,7 @@ from permwords import (
     enumerate_avoiders,
     perm_core,
 )
-from permwords.perm_core import _count_generic, _PatternMatcher, _search_generic
+from permwords.perm_core import _count_generic, _moves_generic, _walk
 
 # Avoider counts for 1324, frozen from independent runs of both engines
 # and (for n <= 8) a brute-force filter over all n! permutations; the
@@ -72,6 +73,16 @@ class TestPermutation:
             with pytest.raises(ValueError, match="n must be nonnegative"):
                 enumerate_avoiders(-1, pattern)
 
+    def test_generic_engine_cap_is_checked_at_the_call(self):
+        # The generic DP packs ranks into 32-bit fields, so it takes n <= 31.
+        # Its walk and contains both refuse a longer permutation up front.
+        assert list(enumerate_avoiders(31, (1,))) == []
+        with pytest.raises(ValueError, match="n <= 31, got 32"):
+            enumerate_avoiders(32, (2, 1))
+        assert not contains(tuple(range(1, 32)), (2, 1))
+        with pytest.raises(ValueError, match="n <= 31, got 32"):
+            contains(tuple(range(1, 33)), (2, 1))
+
 
 class TestContains:
     @given(
@@ -89,6 +100,16 @@ class TestContains:
     def test_empty_pattern_is_in_every_permutation(self):
         for entries in ((), (1,), (2, 1), (2, 5, 3, 7, 1, 6, 4)):
             assert contains(entries, ())
+
+    def test_distinct_values_stand_for_their_ranks(self):
+        assert contains((50, 20, 90), (2, 1)) and not contains((50, 20, 90), (3, 2, 1))
+        assert contains([7, 3, 5], Permutation.parse("312"))
+
+    def test_repeated_entries_are_refused(self):
+        # A sequence with a repeat has no order type to compare.
+        for p, q in (((1, 1), (2, 1)), ((1, 1, 2), (2, 3, 1)), ((1, 2), (1, 1))):
+            with pytest.raises(ValueError, match="entries must be exactly"):
+                contains(p, q)
 
     def test_empty_permutation_contains_no_nonempty_pattern(self):
         for pattern in ((1,), (2, 1), (1, 3, 2, 4)):
@@ -131,9 +152,10 @@ class TestCountAvoiders:
 class TestGenericCount:
     """Independent oracles for the generic counting DP (`_count_generic`).
 
-    Brute force over every permutation, the backtracking enumerator
-    (`enumerate_avoiders`, which never touches the DP) and published
-    sequences each check the window DP from outside.
+    Brute force over every permutation (`brute_contains`, not `contains`,
+    which runs this DP) and published sequences check the window DP from
+    outside.  The walk (`enumerate_avoiders`) follows the DP's own moves, so
+    it checks only that counting and listing agree.
     """
 
     # OEIS A047889: permutations of length n avoiding 1234, n = 0..12.
@@ -148,7 +170,7 @@ class TestGenericCount:
                     brute = sum(
                         1
                         for p in itertools.permutations(range(1, n + 1))
-                        if not contains(p, pattern)
+                        if not brute_contains(p, pattern)
                     )
                     assert count_avoiders(n, pattern) == brute, (pattern, n)
 
@@ -158,7 +180,7 @@ class TestGenericCount:
                 avoiders = [
                     p
                     for p in itertools.permutations(range(1, n + 1))
-                    if not contains(p, pattern)
+                    if not brute_contains(p, pattern)
                 ]
                 for length in range(min(n, 3) + 1):
                     for prefix in itertools.permutations(range(1, n + 1), length):
@@ -195,16 +217,31 @@ class TestEnumerate:
         for p in enumerate_avoiders(6, (1, 3, 2, 4)):
             assert not brute_contains(p.entries, (1, 3, 2, 4))
 
+    def test_every_short_pattern_lists_the_brute_force_avoiders(self):
+        # permutations() yields in lexicographic order, so the filtered list
+        # is the walk's expected output, order included.
+        for k in range(1, 5):
+            for pattern in itertools.permutations(range(1, k + 1)):
+                for n in range(7):
+                    brute = [
+                        p
+                        for p in itertools.permutations(range(1, n + 1))
+                        if not brute_contains(p, pattern)
+                    ]
+                    listed = [p.entries for p in enumerate_avoiders(n, pattern)]
+                    assert listed == brute, (pattern, n)
+
     def test_generic_engine_matches_fast_path(self):
-        # 1324 is listed by walking the counting DP's moves; any other
-        # pattern takes the backtracking search.  That search, run on 1324
-        # itself, is the walk's independent oracle: same avoiders, same
-        # order.  Reversal maps 4231-avoiders onto 1324-avoiders, so the
-        # two engines also check each other through that bijection.
-        matcher = _PatternMatcher((1, 3, 2, 4))
+        # Every pattern is listed by walking its counting DP's moves.  The
+        # generic DP's moves, walked on 1324 itself, are the 1324 walk's
+        # independent oracle: the two DPs share only the walk loop, and must
+        # give the same avoiders in the same order.  Reversal maps
+        # 4231-avoiders onto 1324-avoiders, so the two engines also check
+        # each other through that bijection.
+        moves = partial(_moves_generic, (1, 3, 2, 4))
         for n in range(9):
             walk = [p.entries for p in enumerate_avoiders(n, (1, 3, 2, 4))]
-            assert walk == list(_search_generic(n, [], matcher)), n
+            assert walk == list(_walk(n, moves, (n, ()))), n
         for n in range(7):
             fast = {p.entries for p in enumerate_avoiders(n, (1, 3, 2, 4))}
             generic = {p.entries for p in enumerate_avoiders(n, (4, 2, 3, 1))}
@@ -234,6 +271,10 @@ class TestEnumerate:
         assert together == alone
 
     def test_walk_leaves_the_count_cache_alone(self):
-        perm_core._completions_1324.cache_clear()
-        assert len(list(enumerate_avoiders(7, (1, 3, 2, 4)))) == COUNTS_1324[7]
-        assert perm_core._completions_1324.cache_info().currsize == 0
+        for pattern, engine in (
+            ((1, 3, 2, 4), perm_core._completions_1324),
+            ((4, 2, 3, 1), perm_core._completions_generic),
+        ):
+            engine.cache_clear()
+            assert len(list(enumerate_avoiders(7, pattern))) == COUNTS_1324[7]
+            assert engine.cache_info().currsize == 0, pattern

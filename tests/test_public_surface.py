@@ -75,3 +75,53 @@ def test_every_import_is_used_or_exported(path):
         ):
             exported.update(ast.literal_eval(node.value))
     assert sorted(imported - used - exported) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) for each private name a module's top level defines."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(n, node) for n in names if n.startswith("_") and not n.startswith("__")]
+    return found
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names a node reads, as a bare name, an attribute or an import."""
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(a.name for a in sub.names)
+    return refs
+
+
+def test_every_private_name_is_used_by_the_package():
+    # A private helper that only tests call is test code living in the
+    # package: it belongs in the tests.  Each private top-level name must be
+    # read somewhere in the package outside the statement that defines it.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(permwords.__file__).parent.glob("*.py"))
+    }
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            used = any(
+                name in _references(node)
+                for other in trees.values()
+                for node in other.body
+                if node is not definition
+            )
+            if not used:
+                unused.append(f"{module}:{name}")
+    assert unused == []

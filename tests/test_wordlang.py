@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 import pytest
 
@@ -14,13 +15,8 @@ from permwords import (
     verify_lemma_on_avoiders,
     wordlang,
 )
-from permwords.wordlang import (
-    ALPHABET,
-    _all_pairs,
-    _cab_runs,
-    _runs_compatible,
-    _words,
-)
+from permwords.wordlang import ALPHABET, _cab_runs, _runs_compatible
+
 
 # Frozen against the exhaustive pair generator below (n = 2..10).  The
 # rule-free counts first exceed the CAB-rule counts at n = 6, where the
@@ -31,6 +27,32 @@ PAIR_COUNTS_CABB = (1, 6, 26, 102, 386, 1441, 5352, 19842, 73524)
 PAIR_COUNTS_RUN = (1, 6, 26, 102, 386, 1441, 5352, 19842, 73523)
 
 RULE_CABB = PairRule.CAB_NEEDS_B | PairRule.CABB_NEEDS_BB
+
+
+def words(length: int) -> Iterator[str]:
+    """Every CB-free word of the given length that starts with A."""
+
+    def grow(prefix: list[str]) -> Iterator[str]:
+        if len(prefix) == length:
+            yield "".join(prefix)
+            return
+        for letter in ALPHABET:
+            if letter == "B" and prefix[-1] == "C":
+                continue
+            prefix.append(letter)
+            yield from grow(prefix)
+            prefix.pop()
+
+    if length >= 1:
+        yield from grow(["A"])
+
+
+def all_pairs(n: int) -> Iterator[tuple[str, str]]:
+    """Every (w, z) with |w|+|z| = n, both CB-free and starting with A."""
+    for a in range(1, n):
+        for w in words(a):
+            for z in words(n - a):
+                yield w, z
 
 
 class TestCounts:
@@ -201,7 +223,7 @@ class TestPairCounting:
                 PairRule.RUN_NEEDS_MATCH,
             ):
                 literal = sum(
-                    1 for w, z in _all_pairs(n) if check_pair(w, z, rule)
+                    1 for w, z in all_pairs(n) if check_pair(w, z, rule)
                 )
                 assert brute_count_pairs(n, rule) == literal, (n, rule)
 
@@ -213,7 +235,7 @@ class TestPairCounting:
         for length in range(1, 10):
             w_groups: dict[int, dict[tuple[int, ...], int]] = {}
             z_groups: dict[int, dict[tuple[int, ...], int]] = {}
-            for v in _words(length):
+            for v in words(length):
                 w_key = tuple(_cab_runs(v))  # rightmost A first
                 z_key = tuple(s.count("B") for s in v.split("A")[1:])
                 w_group = w_groups.setdefault(v.count("A"), {})
