@@ -14,7 +14,7 @@ import time
 from typing import Any
 
 from . import series, wordlang
-from .encoder import decode, mark
+from .encoder import _word_pairs, decode, mark
 from .perm_core import Permutation, count_avoiders, dp_state_count, enumerate_avoiders
 from .roots import CertificateError, certified_smallest_root, growth_bound
 from .series import expand, verify_functional_equations
@@ -200,8 +200,7 @@ def _suite_injectivity(report: dict[str, Any]) -> None:
     for n in range(1, n_max + 1):
         for p in enumerate_avoiders(n, (1, 3, 2, 4)):
             total += 1
-            for mode in modes:
-                w, z = mark(p, mode=mode).word_pair()
+            for mode, (w, z) in zip(modes, _word_pairs(p)):
                 try:
                     back = decode(w, z)
                 except ValueError as exc:

@@ -15,8 +15,9 @@ the colors:
 The "rule4prime" mode applies one more rule: every entry that is a
 right-to-left maximum of the whole permutation but not a left-to-right
 minimum of it is forced blue with letter D.  Such an entry is already a
-B or a D, so the rule only turns Bs into Ds.  `mark` sets A/B in the
-coloring pass, and C/D and this override in one pass from the right.
+B or a D, so the rule only turns Bs into Ds.  One marking serves both
+modes: the coloring pass sets A/B/C, and one pass from the right sets the
+Ds and lists the Bs that the rule turns.
 
 A permutation p yields two words: w(p) lists letters by position, z(p)
 lists letters by value (its i-th letter belongs to the entry of value i).
@@ -86,8 +87,8 @@ class MarkedPermutation:
         return WordPair(self.letters, "".join(z))
 
 
-def _red_letters(entries: tuple[int, ...]) -> list[str]:
-    """One greedy pass over a permutation of 1..n: A or B on each red, C on each blue.
+def _letters(entries: tuple[int, ...]) -> tuple[list[str], list[int]]:
+    """The plain letters of a permutation of 1..n, and where rule (4') turns a B into a D.
 
     A red x bars the values between the red minimum before it and itself,
     as each would be the 2 of a 132 with that minimum and x.  A red below
@@ -105,7 +106,23 @@ def _red_letters(entries: tuple[int, ...]) -> list[str]:
         else:
             out.append("B")
             barred |= (1 << x) - (2 << low)  # bits low+1 .. x-1
-    return out
+    turned = []  # the Bs that are right-to-left maxima
+    blue_max = high = 0
+    for i in range(len(entries) - 1, -1, -1):
+        x = entries[i]
+        if out[i] == "C" and x > blue_max:
+            out[i] = "D"
+            blue_max = x
+        if x > high:
+            high = x
+            # The left-to-right minima are exactly the As: an A lies below
+            # every red before it, and each blue has a smaller red before
+            # it; an entry below all before it is neither barred nor above
+            # the red minimum.  A blue right-to-left maximum is already a
+            # D, so rule (4') turns only a B into a D.
+            if out[i] == "B":
+                turned.append(i)
+    return out, turned
 
 
 def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPermutation:
@@ -119,31 +136,28 @@ def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPer
     if mode not in ("plain", "rule4prime"):
         raise ValueError(f"unknown mode: {mode!r}")
     perm = p if isinstance(p, Permutation) else Permutation(_entries_of(p))
-    entries = perm.entries
-    letters = _red_letters(entries)
-    # Right to left: C or D on each blue, and rule (4') on each right-to-left
-    # maximum that is not a left-to-right minimum.
-    blue_max = high = 0
-    forced = mode == "rule4prime"
-    for i in range(len(entries) - 1, -1, -1):
-        x = entries[i]
-        if letters[i] == "C" and x > blue_max:
+    letters, turned = _letters(perm.entries)
+    if mode == "rule4prime":
+        for i in turned:
             letters[i] = "D"
-            blue_max = x
-        if x > high:
-            high = x
-            # The left-to-right minima are exactly the As: an A lies below
-            # every red before it, and each blue has a smaller red before
-            # it; an entry below all before it is neither barred nor above
-            # the red minimum.  A blue right-to-left maximum is already a
-            # D, so rule (4') turns only a B into a D.
-            if forced and letters[i] == "B":
-                letters[i] = "D"
     # One letter from ABCD per entry, so MarkedPermutation's check is skipped.
     marked = object.__new__(MarkedPermutation)
     object.__setattr__(marked, "perm", perm)
     object.__setattr__(marked, "letters", "".join(letters))
     return marked
+
+
+def _word_pairs(p: Permutation) -> tuple[WordPair, WordPair]:
+    """The plain and the rule4prime pair of p, from one marking."""
+    entries = p.entries
+    letters, turned = _letters(entries)
+    z = [""] * len(entries)
+    for v, letter in zip(entries, letters):
+        z[v - 1] = letter
+    plain = WordPair("".join(letters), "".join(z))
+    for i in turned:
+        letters[i] = z[entries[i] - 1] = "D"
+    return plain, WordPair("".join(letters), "".join(z))
 
 
 def encode(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> WordPair:
@@ -181,11 +195,12 @@ def decode(w: str, z: str) -> tuple[int, ...]:
             b_vals.append(v)
         elif letter == "C":
             c_vals.append(v)
-        else:
+        elif letter == "D":
             d_vals.append(v)
-    # A letter of z outside ABCD landed in d_vals; z.count("D") tells it apart.
+        else:
+            break  # a letter outside ABCD: the counts fall short of len(z)
     counts = (len(a_vals), len(b_vals), len(c_vals), len(d_vals))
-    if len(w) != len(z) or counts != tuple(map(w.count, "ABCD")) or counts[3] != z.count("D"):
+    if len(w) != len(z) or sum(counts) != len(z) or counts != tuple(map(w.count, "ABCD")):
         raise ValueError(f"w={w!r} and z={z!r} are not anagrams over ABCD")
     d_vals.reverse()  # right to left, each D takes the smallest left
     out = [0] * len(w)

@@ -99,9 +99,7 @@ def contains(
     >>> contains(Permutation.parse("3612745"), (1, 3, 2, 4))
     False
     """
-    # Repeated entries have no order type, so Permutation refuses them.
-    entries = Permutation(_flatten(_entries_of(p))).entries
-    pattern = Permutation(_flatten(_entries_of(q))).entries
+    entries, pattern = _order_type(p), _order_type(q)
     # The empty pattern occurs in every p; the DP needs a slot to match.
     return not pattern or not _count_generic(len(entries), list(entries), pattern)
 
@@ -264,6 +262,11 @@ def _flatten(entries: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ranks[v] for v in entries)
 
 
+def _order_type(q: Permutation | Sequence[int]) -> tuple[int, ...]:
+    """q's entries as ranks; a repeated value has no order type, and raises ValueError."""
+    return Permutation(_flatten(_entries_of(q))).entries
+
+
 def _moves_1324(
     m: int, tops: tuple[int, ...]
 ) -> Iterator[tuple[int, tuple[int, tuple[int, ...]]]]:
@@ -308,6 +311,21 @@ def _completions_1324(m: int, tops: tuple[int, ...]) -> int:
     return sum(_completions_1324(*s) for _, s in _moves_1324(m, tops))
 
 
+def _live_moves(
+    moves: Callable[..., Iterator[tuple[int, tuple]]], memo: dict, state: tuple, r: int
+) -> tuple[tuple[int, tuple], ...]:
+    """The moves from `state`, with r unused values, into states that have a completion.
+
+    A state has one when no value is left or it has such a move; `memo` keeps each state's.
+    """
+    found = memo.get(state)
+    if found is None:
+        found = memo[state] = tuple(
+            (i, s) for i, s in moves(*state) if r == 1 or _live_moves(moves, memo, s, r - 1)
+        )
+    return found
+
+
 def _walk(
     n: int, moves: Callable[..., Iterator[tuple[int, tuple]]], root: tuple
 ) -> Iterator[tuple[int, ...]]:
@@ -316,20 +334,21 @@ def _walk(
     Follows `moves(*state)` depth first from `root`, the empty prefix's
     state, in one frame with a stack of move iterators; rank i is the i-th
     smallest of the sorted `unused` values.  Few states serve many avoiders
-    (104 serve the 15,793 1324-avoiders of length 8), so each state's moves
-    are derived once, in a memo of this walk's own; the counting caches are
-    not touched.  A 1324 move always leads to a state with a completion; a
-    generic one may not, so a generic walk also passes through prefixes
-    that no avoider starts with.
+    (105 serve the 15,793 1324-avoiders of length 8), so each state's moves
+    are derived once, before the first avoider, in a memo of this walk's
+    own; the counting caches are not touched.  Only moves into states with
+    a completion are kept (`_live_moves`), so every prefix the walk pushes
+    starts an avoider.  A 1324 move always leads to such a state; a
+    generic one may not.
     """
     unused = list(range(1, n + 1))
     if n == 0:
         yield ()  # the empty permutation avoids every nonempty pattern
         return
-    memo: dict[tuple, tuple] = {}  # state -> its moves
+    memo: dict[tuple, tuple] = {}  # state -> its moves into live states
     prefix: list[int] = []
     # The root's moves, then one level per entry of the prefix.
-    stack: list[Iterator] = [moves(*root)]
+    stack: list[Iterator] = [iter(_live_moves(moves, memo, root, n))]
     while stack:
         for i, state in stack[-1]:
             break
@@ -339,16 +358,12 @@ def _walk(
                 insort(unused, prefix.pop())
             continue
         prefix.append(unused.pop(i))
-        nxt = memo.get(state)
-        if nxt is None:
-            nxt = memo[state] = tuple(moves(*state))
         if len(unused) > 1:
-            stack.append(iter(nxt))
+            stack.append(iter(memo[state]))
             continue
-        # The last value takes no level of its own: it completes the
-        # prefix when its state has a move.  (At n = 1 none is left.)
-        if nxt or not unused:
-            yield (*prefix, *unused)
+        # The last value takes no level of its own: the state is live, so
+        # it has a move.  (At n = 1 none is left.)
+        yield (*prefix, *unused)
         unused.insert(i, prefix.pop())
 
 
@@ -362,7 +377,8 @@ def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
     occurrences (`_moves_generic`), which does not list them either: all
     n <= 13 of 4231 take 0.5 s (5.9k states, 18 MB), of any pattern of
     length 4 at most 1.2 s, and of the length-5 to length-7 patterns tried
-    4-9 s and 33-50 MB.  The generic DP takes n <= 31.
+    4-9 s and 33-50 MB.  The generic DP takes n <= 31.  A pattern with a
+    repeated value raises ValueError.
 
     >>> count_avoiders(4, (1, 3, 2, 4))
     23
@@ -371,7 +387,7 @@ def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    pattern = _flatten(_entries_of(q))
+    pattern = _order_type(q)
     if not pattern:
         raise ValueError("pattern must be nonempty")
     if len(pattern) > n:
@@ -383,7 +399,7 @@ def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
 
 def dp_state_count(q: Permutation | Sequence[int]) -> int:
     """Memo states held, for every pattern and length so far, by q's counting engine."""
-    pattern = _flatten(_entries_of(q))
+    pattern = _order_type(q)
     engine = _completions_1324 if pattern == _PATTERN_1324 else _completions_generic
     return engine.cache_info().currsize
 
@@ -401,9 +417,10 @@ def enumerate_avoiders(
     """Return the q-avoiding permutations of 1..n, lazily, in lexicographic order.
 
     The arguments are checked at the call, the generic DP's cap of
-    n <= 31 included.  The walk follows the moves of the pattern's
-    counting DP (`_moves_1324` or `_moves_generic`) in one frame, memoising
-    them per call and leaving the counting caches alone.  It builds only
+    n <= 31 and a repeated pattern value included.  The walk follows the
+    moves of the pattern's counting DP (`_moves_1324` or `_moves_generic`)
+    into states that have a completion, in one frame, memoising them per
+    call and leaving the counting caches alone.  It builds only
     permutations of 1..n, so the results skip `Permutation`'s check.
 
     >>> [str(p) for p in enumerate_avoiders(3, (1, 3, 2))]
@@ -411,7 +428,7 @@ def enumerate_avoiders(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    pattern = _flatten(_entries_of(q))
+    pattern = _order_type(q)
     if not pattern:
         raise ValueError("pattern must be nonempty")
     if pattern == _PATTERN_1324:

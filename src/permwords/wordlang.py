@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
+from math import inf
 from typing import Iterator, Sequence
 
 from .encoder import encode
@@ -40,7 +41,7 @@ _NOT_LETTERS = str.maketrans("", "", ALPHABET)  # translate() keeps only the res
 # pair work takes 0.17 s and 32 MB at n = 16, about doubling per n.
 PAIR_CAP = 16
 # Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).  On a
-# 2-core Xeon VM `verify --suite all --n 10` takes 38 s and 17.4 MB; n = 11
+# 2-core Xeon VM `verify --suite all --n 10` takes 36 s and 17.8 MB; n = 11
 # (3.8M more) took 433 s, 161 s in the lemmas, before the sweeps' one-frame walk.
 LEMMA_CAP = 10
 
@@ -134,7 +135,7 @@ def _b_counts(z: str) -> list[int]:
 
 # Bs a CAB run asks of its matched segment, by the rules' highest bit: a
 # run of k Bs needs min(k, need) of them.
-_NEED_BY_TOP_BIT = (0, 1, 2, float("inf"))
+_NEED_BY_TOP_BIT = (0, 1, 2, inf)
 
 
 def _runs_compatible(runs: Sequence[int], b_counts: Sequence[int], rules: PairRule) -> bool:
@@ -295,8 +296,9 @@ def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
 
     Each avoider is encoded once, in rule4prime mode, and its pair passes
     the base test of `check_pair` once; a pair that fails it breaks every
-    rule set.  Its runs and B counts then serve "cab", "cabb" and "cab_k"
-    in turn.
+    rule set.  One pass over its runs and B counts then finds the fewest
+    Bs of a segment that falls below its run, and a rule set fails when
+    that is below its need, so "cab", "cabb" and "cab_k" share the pass.
 
     >>> verify_lemma_on_avoiders(4).violations
     {'cab': (), 'cabb': (), 'cab_k': ()}
@@ -304,6 +306,7 @@ def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
     if not 0 <= n <= LEMMA_CAP:
         raise ValueError(f"n must be within 0..{LEMMA_CAP}; larger sweeps take too long")
     violations: dict[str, list[tuple[str, str, str]]] = {r: [] for r in _LEMMA_RULES}
+    needs = {r: _NEED_BY_TOP_BIT[rules.value.bit_length()] for r, rules in _LEMMA_RULES.items()}
     checked = 0
     # The empty permutation encodes to empty words, outside the pair
     # language (every member starts with A); nothing to check at n = 0.
@@ -314,8 +317,8 @@ def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
             for found in violations.values():
                 found.append((str(p), w, z))
             continue
-        runs, b_counts = _cab_runs(w), _b_counts(z)
-        for name, rules in _LEMMA_RULES.items():
-            if not _runs_compatible(runs, b_counts, rules):
+        short = min((bs for run, bs in zip(_cab_runs(w), _b_counts(z)) if bs < run), default=inf)
+        for name, need in needs.items():
+            if short < need:
                 violations[name].append((str(p), w, z))
     return AvoiderPairReport(n, checked, {r: tuple(v) for r, v in violations.items()})

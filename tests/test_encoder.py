@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permwords import MarkedPermutation, Permutation, WordPair, decode, encode, mark
+from permwords.encoder import _word_pairs
 
 
 def left_to_right_minima(entries: tuple[int, ...]) -> set[int]:
@@ -214,6 +215,16 @@ class TestKernelsAgainstDefinitions:
                     z = "".join(letters[i] for i in by_value)
                     assert m.word_pair() == WordPair(letters, z), (entries, mode)
 
+    def test_one_marking_gives_both_pairs(self):
+        # The sweep's kernel: one marking, then the rule (4') Bs patched to
+        # Ds in w and z.  It must equal marking once per mode, on every
+        # permutation, avoider or not.
+        for n in range(8):
+            for entries in itertools.permutations(range(1, n + 1)):
+                p = Permutation(entries)
+                both = (mark(p, "plain").word_pair(), mark(p, "rule4prime").word_pair())
+                assert _word_pairs(p) == both, entries
+
     def test_rule4prime_only_turns_b_into_d(self):
         # Every entry rule (4') forces is a B or a D in plain mode, on every
         # permutation, avoider or not.
@@ -255,6 +266,8 @@ class TestInjectivity:
             ("AX", "XA"),  # not a word over ABCD
             ("AD", "AX"),  # z alone is not a word over ABCD
             ("AX", "AD"),  # w alone is not a word over ABCD
+            ("ABA", "AXA"),  # z has a letter outside ABCD mid-word
+            ("ABX", "ABX"),  # both have it, at the same place
         ):
             with pytest.raises(ValueError):
                 decode(w, z)

@@ -16,7 +16,13 @@ from permwords import (
     enumerate_avoiders,
     perm_core,
 )
-from permwords.perm_core import _count_generic, _moves_generic, _walk
+from permwords.perm_core import (
+    _count_generic,
+    _live_moves,
+    _moves_generic,
+    _walk,
+    dp_state_count,
+)
 
 # Avoider counts for 1324, frozen from independent runs of both engines
 # and (for n <= 8) a brute-force filter over all n! permutations; the
@@ -72,6 +78,22 @@ class TestPermutation:
         for pattern in ((1, 3, 2, 4), (4, 2, 3, 1)):
             with pytest.raises(ValueError, match="n must be nonnegative"):
                 enumerate_avoiders(-1, pattern)
+
+    # A pattern with a repeated value has no order type; each entry point
+    # refuses it at the call, as contains does.
+    def test_count_rejects_repeated_pattern_values(self):
+        for q in ((1, 1), (2, 3, 2)):
+            with pytest.raises(ValueError, match="entries must be exactly"):
+                count_avoiders(3, q)
+
+    def test_enumerate_rejects_repeated_pattern_values(self):
+        for q in ((1, 1), (1, 3, 2, 4, 3)):
+            with pytest.raises(ValueError, match="entries must be exactly"):
+                enumerate_avoiders(3, q)
+
+    def test_dp_state_count_rejects_repeated_pattern_values(self):
+        with pytest.raises(ValueError, match="entries must be exactly"):
+            dp_state_count((2, 2, 1))
 
     def test_generic_engine_cap_is_checked_at_the_call(self):
         # The generic DP packs ranks into 32-bit fields, so it takes n <= 31.
@@ -269,6 +291,22 @@ class TestEnumerate:
                 if p is not None:
                     together[len(p)].append(p)
         assert together == alone
+
+    def test_walk_pushes_only_prefixes_of_avoiders(self):
+        # The one 21-avoider of length n is 1..n, but appending any other
+        # value first leads to a state the generic DP only later finds
+        # dead.  The walk keeps only moves into states with a completion,
+        # so from the root its memo holds one path: every prefix it pushes
+        # extends to the avoider.
+        n = 25
+        moves = partial(_moves_generic, (2, 1))
+        memo: dict = {}
+        state, r = (n, ()), n
+        while r:
+            ((rank, state),) = _live_moves(moves, memo, state, r)
+            assert rank == 0, r
+            r -= 1
+        assert [p.entries for p in enumerate_avoiders(n, (2, 1))] == [tuple(range(1, n + 1))]
 
     def test_walk_leaves_the_count_cache_alone(self):
         for pattern, engine in (

@@ -12,10 +12,11 @@ from permwords import (
     count_nocb_words,
     count_segments_nocb,
     encode,
+    enumerate_avoiders,
     verify_lemma_on_avoiders,
     wordlang,
 )
-from permwords.wordlang import ALPHABET, _cab_runs, _runs_compatible
+from permwords.wordlang import ALPHABET, _b_counts, _cab_runs, _runs_compatible
 
 
 # Frozen against the exhaustive pair generator below (n = 2..10).  The
@@ -289,6 +290,41 @@ class TestLemmaOnAvoiders:
         assert report.checked == 2
         for rule in ("cab", "cabb", "cab_k"):
             assert report.violations[rule] == (("12", "ACAB", "AA"), ("21", "ACAB", "AA"))
+
+    def test_one_pass_verdicts_match_the_threshold_test(self, monkeypatch):
+        # The sweep settles all three rules from the fewest Bs of a segment
+        # below its run; `_runs_compatible` tests each rule on its own.
+        rules = {
+            "cab": PairRule.CAB_NEEDS_B,
+            "cabb": PairRule.CABB_NEEDS_BB,
+            "cab_k": PairRule.RUN_NEEDS_MATCH,
+        }
+
+        def expected(n: int, pairs: list[tuple[str, str]]) -> dict:
+            found: dict[str, list] = {name: [] for name in rules}
+            for p, (w, z) in zip(enumerate_avoiders(n, (1, 3, 2, 4)), pairs):
+                for name, rule in rules.items():
+                    if not _runs_compatible(_cab_runs(w), _b_counts(z), rule):
+                        found[name].append((str(p), w, z))
+            return {name: tuple(v) for name, v in found.items()}
+
+        for n in range(1, 9):
+            pairs = [encode(p) for p in enumerate_avoiders(n, (1, 3, 2, 4))]
+            assert verify_lemma_on_avoiders(n).violations == expected(n, pairs), n
+        # Crafted pairs give the two rightmost CAB runs of w and the first
+        # two segments of z every (run, bs) in 0..4 x 0..4, in every
+        # combination; the 2,762 avoiders of length 7 take them in turn.
+        crafted = [
+            ("ACA" + "B" * r2 + "CA" + "B" * r1, "A" + "B" * b1 + "A" + "B" * b2 + "A")
+            for r1, b1, r2, b2 in itertools.product(range(5), repeat=4)
+        ]
+        stream = itertools.cycle(crafted)
+        monkeypatch.setattr(wordlang, "encode", lambda p: next(stream))
+        pairs = list(itertools.islice(itertools.cycle(crafted), 2762))
+        violations = verify_lemma_on_avoiders(7).violations
+        assert violations == expected(7, pairs)
+        # Each rule set rejects some crafted pairs that the one before admits.
+        assert 0 < len(violations["cab"]) < len(violations["cabb"]) < len(violations["cab_k"])
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
