@@ -175,12 +175,14 @@ def decode(w: str, z: str) -> tuple[int, ...]:
     """Rebuild the permutation that encodes to (w, z), in either mode.
 
     Positions come from w and values from z; A and B mark reds, C and D
-    blues.  Left to right, each A takes the largest A value left and each
-    B the least unused B value above the last A.  Right to left, each D
-    takes the smallest D value left and each C the greatest unused C
-    value below the last D.  Raises ValueError when the letters cannot be
-    filled in this way; a pair outside the image may still decode, to a
-    permutation that does not encode back to it.
+    blues.  Left to right, each A takes the largest A value left, each B
+    the least unused B value above the last A, and each D the largest D
+    value left (so, read from the right, the smallest).  Only when there
+    is a C does a pass run right to left, giving each C the greatest
+    unused C value below the last D it has passed.  Raises ValueError
+    when the letters cannot be filled in this way; a pair outside the
+    image may still decode, to a permutation that does not encode back
+    to it.
 
     >>> decode("ABABDCD", "ABACDBD")
     (3, 6, 1, 2, 7, 4, 5)
@@ -202,7 +204,6 @@ def decode(w: str, z: str) -> tuple[int, ...]:
     counts = (len(a_vals), len(b_vals), len(c_vals), len(d_vals))
     if len(w) != len(z) or sum(counts) != len(z) or counts != tuple(map(w.count, "ABCD")):
         raise ValueError(f"w={w!r} and z={z!r} are not anagrams over ABCD")
-    d_vals.reverse()  # right to left, each D takes the smallest left
     out = [0] * len(w)
     low = len(w) + 1
     for i, letter in enumerate(w):
@@ -213,13 +214,16 @@ def decode(w: str, z: str) -> tuple[int, ...]:
             if j == len(b_vals):
                 raise ValueError(f"no B value above {low} left for position {i + 1}")
             out[i] = b_vals.pop(j)
-    high = 0
-    for i in range(len(w) - 1, -1, -1):
-        if w[i] == "D":
-            out[i] = high = d_vals.pop()
-        elif w[i] == "C":
-            j = bisect(c_vals, high) - 1
-            if j < 0:
-                raise ValueError(f"no C value below {high} left for position {i + 1}")
-            out[i] = c_vals.pop(j)
+        elif letter == "D":
+            out[i] = d_vals.pop()
+    if c_vals:
+        high = 0
+        for i in range(len(w) - 1, -1, -1):
+            if w[i] == "D":
+                high = out[i]
+            elif w[i] == "C":
+                j = bisect(c_vals, high) - 1
+                if j < 0:
+                    raise ValueError(f"no C value below {high} left for position {i + 1}")
+                out[i] = c_vals.pop(j)
     return tuple(out)

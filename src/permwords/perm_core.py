@@ -311,18 +311,31 @@ def _completions_1324(m: int, tops: tuple[int, ...]) -> int:
     return sum(_completions_1324(*s) for _, s in _moves_1324(m, tops))
 
 
+def _is_live(
+    moves: Callable[..., Iterator[tuple[int, tuple]]], alive: dict, state: tuple, r: int
+) -> bool:
+    """Whether `state`, with r unused values, has a completion; `alive` keeps each answer.
+
+    The search stops at the first completion it finds.
+    """
+    found = alive.get(state)
+    if found is None:
+        found = alive[state] = r == 0 or any(
+            _is_live(moves, alive, s, r - 1) for _, s in moves(*state)
+        )
+    return found
+
+
 def _live_moves(
-    moves: Callable[..., Iterator[tuple[int, tuple]]], memo: dict, state: tuple, r: int
+    moves: Callable[..., Iterator[tuple[int, tuple]]], memo: dict, alive: dict, state: tuple, r: int
 ) -> tuple[tuple[int, tuple], ...]:
     """The moves from `state`, with r unused values, into states that have a completion.
 
-    A state has one when no value is left or it has such a move; `memo` keeps each state's.
+    Stores them in `memo`; `alive` is `_is_live`'s.
     """
-    found = memo.get(state)
-    if found is None:
-        found = memo[state] = tuple(
-            (i, s) for i, s in moves(*state) if r == 1 or _live_moves(moves, memo, s, r - 1)
-        )
+    found = memo[state] = tuple(
+        (i, s) for i, s in moves(*state) if _is_live(moves, alive, s, r - 1)
+    )
     return found
 
 
@@ -334,21 +347,22 @@ def _walk(
     Follows `moves(*state)` depth first from `root`, the empty prefix's
     state, in one frame with a stack of move iterators; rank i is the i-th
     smallest of the sorted `unused` values.  Few states serve many avoiders
-    (105 serve the 15,793 1324-avoiders of length 8), so each state's moves
-    are derived once, before the first avoider, in a memo of this walk's
-    own; the counting caches are not touched.  Only moves into states with
-    a completion are kept (`_live_moves`), so every prefix the walk pushes
-    starts an avoider.  A 1324 move always leads to such a state; a
-    generic one may not.
+    (105 serve the 15,793 1324-avoiders of length 8), so a state's moves
+    are derived when the walk first pushes it and kept in a memo of this
+    walk's own; the counting caches are not touched.  Only moves into
+    states with a completion are kept (`_live_moves`, which asks
+    `_is_live`), so every prefix the walk pushes starts an avoider.  A 1324
+    move always leads to such a state; a generic one may not.
     """
     unused = list(range(1, n + 1))
     if n == 0:
         yield ()  # the empty permutation avoids every nonempty pattern
         return
     memo: dict[tuple, tuple] = {}  # state -> its moves into live states
+    alive: dict[tuple, bool] = {}  # state -> whether it has a completion
     prefix: list[int] = []
     # The root's moves, then one level per entry of the prefix.
-    stack: list[Iterator] = [iter(_live_moves(moves, memo, root, n))]
+    stack: list[Iterator] = [iter(_live_moves(moves, memo, alive, root, n))]
     while stack:
         for i, state in stack[-1]:
             break
@@ -359,7 +373,9 @@ def _walk(
             continue
         prefix.append(unused.pop(i))
         if len(unused) > 1:
-            stack.append(iter(memo[state]))
+            # A pushed state is live with values left, so its moves are not empty.
+            live = memo.get(state) or _live_moves(moves, memo, alive, state, len(unused))
+            stack.append(iter(live))
             continue
         # The last value takes no level of its own: the state is live, so
         # it has a move.  (At n = 1 none is left.)

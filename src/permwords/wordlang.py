@@ -41,8 +41,8 @@ _NOT_LETTERS = str.maketrans("", "", ALPHABET)  # translate() keeps only the res
 # pair work takes 0.17 s and 32 MB at n = 16, about doubling per n.
 PAIR_CAP = 16
 # Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).  On a
-# 2-core Xeon VM `verify --suite all --n 10` takes 36 s and 17.8 MB; n = 11
-# (3.8M more) took 433 s, 161 s in the lemmas, before the sweeps' one-frame walk.
+# 2-core Xeon VM `verify --suite all --n 10` takes 19-21 s and 17.7 MB; n = 11
+# (3.8M more) takes 126 s, 40 s of it in the lemmas, well over a minute.
 LEMMA_CAP = 10
 
 
@@ -296,9 +296,10 @@ def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
 
     Each avoider is encoded once, in rule4prime mode, and its pair passes
     the base test of `check_pair` once; a pair that fails it breaks every
-    rule set.  One pass over its runs and B counts then finds the fewest
-    Bs of a segment that falls below its run, and a rule set fails when
-    that is below its need, so "cab", "cabb" and "cab_k" share the pass.
+    rule set.  When w holds a CAB factor, one pass over its runs and B
+    counts then finds the fewest Bs of a segment that falls below its run,
+    and a rule set fails when that is below its need, so "cab", "cabb" and
+    "cab_k" share the pass.  Without one every run is 0 and all three pass.
 
     >>> verify_lemma_on_avoiders(4).violations
     {'cab': (), 'cabb': (), 'cab_k': ()}
@@ -317,6 +318,8 @@ def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
             for found in violations.values():
                 found.append((str(p), w, z))
             continue
+        if "CAB" not in w:
+            continue  # every CAB run is 0, so no segment falls below its run
         short = min((bs for run, bs in zip(_cab_runs(w), _b_counts(z)) if bs < run), default=inf)
         for name, need in needs.items():
             if short < need:

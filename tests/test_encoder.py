@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +251,64 @@ class TestWordPair:
             assert z == "".join(m.letters[i] for i in by_value)
 
 
+UNDECODABLE = [
+    ("AB", "AC"),  # not anagrams
+    ("BA", "AB"),  # a B before any A
+    ("AAB", "BAA"),  # no B value above the last A
+    ("ACD", "ADC"),  # no C value below the last D
+    ("AX", "XA"),  # not a word over ABCD
+    ("AD", "AX"),  # z alone is not a word over ABCD
+    ("AX", "AD"),  # w alone is not a word over ABCD
+    ("ABA", "AXA"),  # z has a letter outside ABCD mid-word
+    ("ABX", "ABX"),  # both have it, at the same place
+]
+
+
+def reference_decode(w: str, z: str) -> tuple[int, ...]:
+    """The two-pass decoder that `decode` must match on every input.
+
+    Left to right it places the As and Bs; right to left, every time, each
+    D takes the smallest D value left and each C the greatest unused C
+    value below the last D.
+    """
+    a_vals, b_vals, c_vals, d_vals = [], [], [], []
+    for v, letter in enumerate(z, 1):
+        if letter == "A":
+            a_vals.append(v)
+        elif letter == "B":
+            b_vals.append(v)
+        elif letter == "C":
+            c_vals.append(v)
+        elif letter == "D":
+            d_vals.append(v)
+        else:
+            break
+    counts = (len(a_vals), len(b_vals), len(c_vals), len(d_vals))
+    if len(w) != len(z) or sum(counts) != len(z) or counts != tuple(map(w.count, "ABCD")):
+        raise ValueError(f"w={w!r} and z={z!r} are not anagrams over ABCD")
+    d_vals.reverse()
+    out = [0] * len(w)
+    low = len(w) + 1
+    for i, letter in enumerate(w):
+        if letter == "A":
+            out[i] = low = a_vals.pop()
+        elif letter == "B":
+            j = bisect(b_vals, low)
+            if j == len(b_vals):
+                raise ValueError(f"no B value above {low} left for position {i + 1}")
+            out[i] = b_vals.pop(j)
+    high = 0
+    for i in range(len(w) - 1, -1, -1):
+        if w[i] == "D":
+            out[i] = high = d_vals.pop()
+        elif w[i] == "C":
+            j = bisect(c_vals, high) - 1
+            if j < 0:
+                raise ValueError(f"no C value below {high} left for position {i + 1}")
+            out[i] = c_vals.pop(j)
+    return tuple(out)
+
+
 class TestInjectivity:
     def test_decode_inverts_encoding(self, marked_by_mode):
         for mode in ("plain", "rule4prime"):
@@ -258,19 +317,36 @@ class TestInjectivity:
                     assert decode(*m.word_pair()) == m.perm.entries, (mode, str(m.perm))
 
     def test_decode_rejects_pairs_it_cannot_invert(self):
-        for w, z in (
-            ("AB", "AC"),  # not anagrams
-            ("BA", "AB"),  # a B before any A
-            ("AAB", "BAA"),  # no B value above the last A
-            ("ACD", "ADC"),  # no C value below the last D
-            ("AX", "XA"),  # not a word over ABCD
-            ("AD", "AX"),  # z alone is not a word over ABCD
-            ("AX", "AD"),  # w alone is not a word over ABCD
-            ("ABA", "AXA"),  # z has a letter outside ABCD mid-word
-            ("ABX", "ABX"),  # both have it, at the same place
-        ):
+        for w, z in UNDECODABLE:
             with pytest.raises(ValueError):
                 decode(w, z)
+
+    def test_decode_matches_the_two_pass_reference(self, marked_by_mode):
+        # `reference_decode` is the oracle: it places the Ds in its right to
+        # left pass, where `decode` places them left to right and runs that
+        # pass only when there is a C.  Both must agree on every input,
+        # error messages included.
+        def outcome(fn, w: str, z: str) -> object:
+            try:
+                return fn(w, z)
+            except ValueError as exc:
+                return str(exc)
+
+        small = [
+            "".join(letters)
+            for length in range(5)
+            for letters in itertools.product("ABCD", repeat=length)
+        ]
+        pairs = [(w, z) for w in small for z in small if len(w) == len(z)]
+        pairs += UNDECODABLE
+        pairs += [
+            m.word_pair()
+            for marks in marked_by_mode.values()
+            for n in range(1, 9)
+            for m in marks[n]
+        ]
+        for w, z in pairs:
+            assert outcome(decode, w, z) == outcome(reference_decode, w, z), (w, z)
 
     def test_small_collisions_counted(self, marked_by_mode):
         # Unit-scale slice; the acceptance suite covers the full corpus.

@@ -301,12 +301,31 @@ class TestEnumerate:
         n = 25
         moves = partial(_moves_generic, (2, 1))
         memo: dict = {}
+        alive: dict = {}
         state, r = (n, ()), n
         while r:
-            ((rank, state),) = _live_moves(moves, memo, state, r)
+            ((rank, state),) = _live_moves(moves, memo, alive, state, r)
             assert rank == 0, r
             r -= 1
         assert [p.entries for p in enumerate_avoiders(n, (2, 1))] == [tuple(range(1, n + 1))]
+
+    def test_first_avoider_derives_few_states(self, monkeypatch):
+        # The walk derives a state's moves when it first pushes it, and a
+        # child's liveness by a search that stops at its first completion,
+        # so the first avoider does not wait for every reachable state
+        # (25,409 move calls at n = 16).
+        n = 16
+        calls = 0
+        moves = perm_core._moves_1324
+
+        def counted(*state):
+            nonlocal calls
+            calls += 1
+            return moves(*state)
+
+        monkeypatch.setattr(perm_core, "_moves_1324", counted)
+        assert next(enumerate_avoiders(n, (1, 3, 2, 4))).entries == tuple(range(1, n + 1))
+        assert 0 < calls <= n**2
 
     def test_walk_leaves_the_count_cache_alone(self):
         for pattern, engine in (

@@ -318,6 +318,16 @@ class TestLemmaOnAvoiders:
             ("ACA" + "B" * r2 + "CA" + "B" * r1, "A" + "B" * b1 + "A" + "B" * b2 + "A")
             for r1, b1, r2, b2 in itertools.product(range(5), repeat=4)
         ]
+        # The sweep skips the run pass when w holds no CAB: here w holds CA
+        # followed by A, C or D but no CAB, and z holds CAB or not.
+        for t, u in itertools.product(("", "A", "C", "D", "AB", "DB"), repeat=2):
+            w = "ACA" + t + "CA" + u
+            rest = "A" * (w.count("A") - 2)
+            for b1, b2 in itertools.product(range(3), repeat=2):
+                bs1, bs2 = "B" * b1, "B" * b2
+                crafted += [(w, "A" + bs1 + "A" + bs2 + rest), (w, "A" + bs1 + "CAB" + bs2 + rest)]
+        assert all(check_pair(w, z) and "CAB" not in w for w, z in crafted[625:])
+        assert any("CAB" in z for _, z in crafted[625:])
         stream = itertools.cycle(crafted)
         monkeypatch.setattr(wordlang, "encode", lambda p: next(stream))
         pairs = list(itertools.islice(itertools.cycle(crafted), 2762))
