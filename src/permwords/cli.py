@@ -270,7 +270,6 @@ def _suite_gf(report: dict[str, Any]) -> None:
             ok,
             f"series coefficients equal exhaustive pair counts for 2<=n<={cap}",
         )
-    report["counters"]["signature_keys"] = wordlang.signature_key_count(cap - 1)
     seg = expand(series.SEGMENT_SERIES, 12)
     seg_ok = all(seg[n] == wordlang.count_segments_nocb(n) for n in range(13))
     _add_check(report, "segment-series-vs-count", seg_ok, "coefficients 0..12 agree")

@@ -11,6 +11,14 @@ z's segments: the i-th A of w counted from the right is matched with the
 i-th segment of z counted from the left, and the number of Bs in that
 segment must answer for the run of Bs that follows the matched A when a
 C immediately precedes it.
+
+Pairs are counted through that matching, without listing a word.  A pair
+is a sequence of blocks: block i joins the i-th segment of w from the
+right with the i-th segment of z from the left.  A w segment counts
+through its run (the Bs right after its A, a CAB run when the segment to
+its left ends in C) and whether it ends in C; a z segment through its B
+count.  One bit passes from block to block: whether the next w segment,
+the one to the left, must end in C.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass
 from math import inf
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .encoder import encode
 from .perm_core import enumerate_avoiders
@@ -36,10 +44,11 @@ __all__ = [
 
 ALPHABET = "ABCD"
 _NOT_LETTERS = str.maketrans("", "", ALPHABET)  # translate() keeps only the rest
-# Largest total length a pair count takes, and the top of `--cap-pairs`.  The
-# z table of word length L has 2^L - 1 keys.  On a 2-core Xeon VM, `verify gf`'s
-# pair work takes 0.17 s and 32 MB at n = 16, about doubling per n.
-PAIR_CAP = 16
+# Largest total length a pair count takes, and the top of `--cap-pairs`.  A
+# count of length n takes about n^3 steps.  On a 2-core Xeon VM `verify gf`'s
+# pair work takes 0.11-0.15 s at n = 32 (0.3 s at 40, 0.5-0.7 s at 48), and the
+# whole suite 0.2-0.4 s and 17 MB.
+PAIR_CAP = 32
 # Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).  On a
 # 2-core Xeon VM `verify --suite all --n 10` takes 19-21 s and 17.7 MB; n = 11
 # (3.8M more) takes 126 s, 40 s of it in the lemmas, well over a minute.
@@ -168,103 +177,72 @@ def check_pair(w: str, z: str, rules: PairRule = PairRule.NONE) -> bool:
 
 
 # --- pair counting ---------------------------------------------------------
-#
-# For counting, a word only matters through a small signature: w through
-# its tuple of CAB run lengths (i-th entry for the i-th A from the right)
-# and z through its tuple of per-segment B counts (left to right), both
-# grouped by A count, the signature's length.  The tables come from a
-# forward DP over lengths that merges the CB-free words starting with A by
-# state: the signature so far, whether the last letter is C (no B may
-# follow), and whether a B now counts.  In z every B does; in w only the Bs
-# right after a CA, until another letter ends the run.
 
 
-def _extend(states: dict, every_b: bool) -> dict:
-    """Append each letter to every state of the DP; every_b selects z."""
-    out: dict = defaultdict(int)
-    for (sig, after_c, counting), count in states.items():
-        out[sig + (0,), False, every_b or after_c] += count
-        if not after_c:
-            grown = sig[:-1] + (sig[-1] + 1,) if counting else sig
-            out[grown, False, counting] += count
-        out[sig, True, every_b] += count
-        out[sig, False, every_b] += count
-    return out
+def _segment_classes(
+    max_len: int, every_b: bool, cap: float
+) -> list[dict[tuple[int, bool], int]]:
+    """CB-free segments of lengths 0..max_len, counted by (key, ends in C).
 
-
-def _by_a_count(states: dict, step: int) -> dict[int, dict[tuple[int, ...], int]]:
-    """Words per signature (read in the given step), grouped by A count."""
-    groups: dict[int, dict[tuple[int, ...], int]] = {}
-    for (sig, _, _), count in states.items():
-        group = groups.setdefault(len(sig), {})
-        group[sig[::step]] = group.get(sig[::step], 0) + count
-    return groups
-
-
-def _tables_by_length() -> Iterator[tuple[dict, dict, dict[int, int]]]:
-    """Yield the w groups, z groups and z totals of word length 0, 1, 2, ...
-
-    Each length extends the DP states of the one before, when it is asked for.
+    The key is the number of Bs right after the A, or of every B when
+    every_b is set, capped at cap.
     """
-    yield {}, {}, {}  # no word of length 0 starts with A
-    # (signature left to right, last letter is C, a B now counts)
-    w_states = {((0,), False, False): 1}
-    z_states = {((0,), False, True): 1}
-    while True:
-        z_groups = _by_a_count(z_states, 1)
-        totals = {m: sum(group.values()) for m, group in z_groups.items()}
-        yield _by_a_count(w_states, -1), z_groups, totals
-        w_states, z_states = _extend(w_states, False), _extend(z_states, True)
-
-
-_LENGTHS = _tables_by_length()
-_TABLES: list[tuple[dict, dict, dict[int, int]]] = []  # index: word length
-
-
-def _grow_tables(max_len: int) -> None:
-    while len(_TABLES) <= max_len:
-        _TABLES.append(next(_LENGTHS))
-
-
-def signature_key_count(max_len: int) -> int:
-    """Keys in the w and z signature tables of word lengths 1..max_len.
-
-    Only those lengths count, however far the tables reach.
-    """
-    _grow_tables(max_len)
-    tables = _TABLES[1 : max_len + 1]
-    return sum(len(group) for w, z, _ in tables for group in (*w.values(), *z.values()))
+    by_length: list[dict[tuple[int, bool], int]] = [{}]
+    states = {(0, False, True): 1}  # "A": (key, last letter is C, a B now counts)
+    for _ in range(max_len):
+        classes: dict[tuple[int, bool], int] = defaultdict(int)
+        grown: dict[tuple[int, bool, bool], int] = defaultdict(int)
+        for (key, after_c, counting), count in states.items():
+            classes[key, after_c] += count
+            if not after_c:
+                grown[min(key + counting, cap), False, counting] += count
+            grown[key, True, every_b] += count
+            grown[key, False, every_b] += count
+        by_length.append(classes)
+        states = grown
+    return by_length
 
 
 def brute_count_pairs(n: int, rules: PairRule = PairRule.NONE) -> int:
     """Count pairs (w, z) with |w| + |z| = n passing the base test + rules.
 
-    Only CB-free words starting with A can occur in a pair.  They are
-    counted by signature, one table per word length and A count, with a
-    forward DP that merges words by state; pairs are then combined by
-    joining the w and z groups of lengths a and n - a with the same A
-    count.  The tables grow to length n - 1 on demand, and the z table of
-    length L has 2^L - 1 keys, so PAIR_CAP bounds n.
+    Exhaustive, but not word by word: a block DP over segment pairs (see
+    the module docstring).  A block of a w segment with run j and a z
+    segment fits when the z segment holds at least min(j, need) Bs, or
+    any number when the w segment to the left does not end in C.  The
+    leftmost w segment has no left neighbour, so its block always fits.
+    The benchmark traces this function by its name, so the name stays.
 
     >>> brute_count_pairs(3, PairRule.CAB_NEEDS_B)
     6
     """
     if not 2 <= n <= PAIR_CAP:
         raise ValueError(f"n must be within 2..{PAIR_CAP}, got {n}")
-    _grow_tables(n - 1)
-    total = 0
+    need = _NEED_BY_TOP_BIT[rules.value.bit_length()]
+    w_classes = _segment_classes(n - 1, False, need)
+    # at_least[b][k]: z segments of length b with at least k Bs (k capped at need)
+    at_least = [
+        [sum(count for (bs, _), count in classes.items() if bs >= k) for k in range(n)]
+        for classes in _segment_classes(n - 1, True, need)
+    ]
+    # block[ends_c, left_c][L]: blocks of total length L
+    block = {(e, c): [0] * (n + 1) for e in (False, True) for c in (False, True)}
     for a in range(1, n):
-        _, z_groups, z_totals = _TABLES[n - a]
-        for m, w_group in _TABLES[a][0].items():
-            z_group = z_groups.get(m, {})
-            for w_key, cw in w_group.items():
-                if not rules or not any(w_key):  # every z of this A count fits
-                    total += cw * z_totals.get(m, 0)
-                    continue
-                for z_key, cz in z_group.items():
-                    if _runs_compatible(w_key, z_key, rules):
-                        total += cw * cz
-    return total
+        for (run, ends_c), count in w_classes[a].items():
+            for b in range(1, n - a + 1):
+                block[ends_c, False][a + b] += count * at_least[b][0]
+                block[ends_c, True][a + b] += count * at_least[b][run]
+    # reach[c][k]: block sequences of total length k after which the next w
+    # segment must end in C iff c; before the first block either may.
+    reach = {c: [1] + [0] * n for c in (False, True)}
+    for k in range(2, n + 1):
+        for c in (False, True):
+            reach[c][k] = sum(
+                reach[e][k - size] * block[e, c][size]
+                for e in (False, True)
+                for size in range(2, k + 1)
+            )
+    return reach[False][n]
 
 
 @dataclass(frozen=True)

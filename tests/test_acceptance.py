@@ -25,6 +25,7 @@ from permwords import (
     growth_bound,
     verify_functional_equations,
 )
+from permwords.wordlang import PAIR_CAP
 
 PATTERN = (1, 3, 2, 4)
 # OEIS A061552, n = 0..18.
@@ -97,9 +98,9 @@ def test_criterion_04_pair_rules_hold(marked_by_mode):
 
 def test_criterion_05_series_match_exhaustive_counts():
     t0 = time.perf_counter()
-    cab = expand(PAIR_SERIES_CAB, 14)
-    cabb = expand(PAIR_SERIES_CABB, 14)
-    run = expand(PAIR_SERIES_CAB_RUN, 14)
+    cab = expand(PAIR_SERIES_CAB, PAIR_CAP)
+    cabb = expand(PAIR_SERIES_CABB, PAIR_CAP)
+    run = expand(PAIR_SERIES_CAB_RUN, PAIR_CAP)
     assert cab[2:5] == [1, 6, 26]
     rules = {
         PairRule.CAB_NEEDS_B: cab,
@@ -107,11 +108,11 @@ def test_criterion_05_series_match_exhaustive_counts():
         PairRule.RUN_NEEDS_MATCH: run,
     }
     for rule, coeffs in rules.items():
-        for n in range(2, 15):
+        for n in range(2, PAIR_CAP + 1):
             assert coeffs[n] == brute_count_pairs(n, rule), (rule, n)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300, f"series cross-check took {elapsed:.1f}s"
-    _report("series coefficients equal exhaustive pair counts, n <= 14")
+    _report(f"series coefficients equal exhaustive pair counts, n <= {PAIR_CAP}")
 
 
 def test_criterion_06_functional_equations():
@@ -121,7 +122,7 @@ def test_criterion_06_functional_equations():
     assert checks["pairs-cabb"].status == "exact"
     assert checks["pairs-cabb"].residual_num == ()
     # The run-rule equation cannot be transcribed as displayed; criterion 5
-    # pins its series against exhaustive counts for 2 <= n <= 14 instead.
+    # pins its series against exhaustive counts for 2 <= n <= PAIR_CAP instead.
     assert checks["pairs-cab-run"].status == "unverifiable-as-printed"
     _report("functional equations verified (two exact, one by oracle)")
 

@@ -67,9 +67,9 @@ class TestUsageErrors:
         assert out == ""
 
     def test_verify_pair_cap(self, capsys):
-        code, out, err = run_main(["verify", "--suite", "gf", "--cap-pairs", "17"], capsys)
+        code, out, err = run_main(["verify", "--suite", "gf", "--cap-pairs", "33"], capsys)
         assert code == 2
-        assert "--cap-pairs capped at 16" in err
+        assert "--cap-pairs capped at 32, got 33" in err
         assert out == ""
         # Below 2 every pair check would run over an empty range.
         for cap in ("1", "0"):
@@ -237,7 +237,10 @@ class TestVerify:
         assert counters("injectivity") == walked
         assert counters("lemmas") == screened
         # --suite all keeps the two walks apart.
-        assert counters("all") == {**walked, **screened, "signature_keys": 311}
+        assert counters("all") == {**walked, **screened}
+        # The pair counts and roots report no work counter.
+        for suite in ("gf", "roots"):
+            assert counters(suite) == {}, suite
 
     def test_injectivity_suite_fails_on_a_wrong_decode(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "decode", lambda w, z: tuple(range(len(w), 0, -1)))
@@ -312,19 +315,6 @@ class TestVerify:
         assert doc["command"] == "verify"
         names = [c["name"] for c in doc["checks"]]
         assert "alpha-digits" in names
-
-    def test_gf_counts_signature_keys(self, capsys):
-        # w and z table keys over word lengths 1..7; a cache that already
-        # reaches further must not change the count.
-        argv = ["verify", "--suite", "gf", "--cap-pairs", "8", "--format", "json"]
-        code, out, _ = run_main(argv, capsys)
-        assert code == 0
-        assert json.loads(out)["counters"] == {"signature_keys": 311}
-        brute_count_pairs(12)
-        _, again, _ = run_main(argv, capsys)
-        assert json.loads(again)["counters"] == {"signature_keys": 311}
-        code, out, _ = run_main(["verify", "--suite", "roots", "--format", "json"], capsys)
-        assert json.loads(out)["counters"] == {}
 
     def test_gf_check_rows_are_pinned(self, capsys):
         argv = ["verify", "--suite", "gf", "--cap-pairs", "8", "--format", "json"]

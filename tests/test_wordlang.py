@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
+from math import inf
 
 import pytest
 
 from permwords import (
+    IntPolynomial,
     PairRule,
     brute_count_pairs,
     check_pair,
@@ -13,10 +15,19 @@ from permwords import (
     count_segments_nocb,
     encode,
     enumerate_avoiders,
+    expand,
     verify_lemma_on_avoiders,
     wordlang,
 )
-from permwords.wordlang import ALPHABET, _b_counts, _cab_runs, _runs_compatible
+from permwords.series import rf
+from permwords.wordlang import (
+    ALPHABET,
+    PAIR_CAP,
+    _b_counts,
+    _cab_runs,
+    _runs_compatible,
+    _segment_classes,
+)
 
 
 # Frozen against the exhaustive pair generator below (n = 2..10).  The
@@ -215,7 +226,7 @@ class TestPairCounting:
                 brute_count_pairs(n, PairRule.RUN_NEEDS_MATCH) == PAIR_COUNTS_RUN[i]
             )
 
-    def test_signature_tables_match_literal_loop(self):
+    def test_block_dp_matches_literal_loop(self):
         for n in range(2, 9):
             for rule in (
                 PairRule.NONE,
@@ -228,43 +239,36 @@ class TestPairCounting:
                 )
                 assert brute_count_pairs(n, rule) == literal, (n, rule)
 
-    def test_signature_tables_match_word_by_word_oracle(self):
-        # Independent oracle for the table DP: the signature of every
-        # CB-free word starting with A, read off the word itself and
-        # grouped by its number of As.
-        wordlang.signature_key_count(9)  # grows the tables to length 9
-        for length in range(1, 10):
-            w_groups: dict[int, dict[tuple[int, ...], int]] = {}
-            z_groups: dict[int, dict[tuple[int, ...], int]] = {}
-            for v in words(length):
-                w_key = tuple(_cab_runs(v))  # rightmost A first
-                z_key = tuple(s.count("B") for s in v.split("A")[1:])
-                w_group = w_groups.setdefault(v.count("A"), {})
-                z_group = z_groups.setdefault(v.count("A"), {})
-                w_group[w_key] = w_group.get(w_key, 0) + 1
-                z_group[z_key] = z_group.get(z_key, 0) + 1
-            w_tab, z_tab, z_totals = wordlang._TABLES[length]
-            assert w_tab == w_groups, length
-            assert z_tab == z_groups, length
-            assert z_totals == {m: sum(g.values()) for m, g in z_groups.items()}
+    def test_segment_classes_match_segment_by_segment_oracle(self):
+        # Independent oracle for the segment DP: the run, the end-in-C bit
+        # and the B count of every CB-free segment, read off the string.
+        for cap in (0, 1, 2, inf):
+            w_dp = _segment_classes(9, False, cap)
+            z_dp = _segment_classes(9, True, cap)
+            for length in range(10):
+                w_classes: dict[tuple[int, bool], int] = {}
+                z_classes: dict[tuple[int, bool], int] = {}
+                for seg in (v for v in words(length) if v.count("A") == 1):
+                    tail = seg[1:]
+                    run = len(tail) - len(tail.lstrip("B"))
+                    w_key = min(run, cap), seg.endswith("C")
+                    z_key = min(seg.count("B"), cap), seg.endswith("C")
+                    w_classes[w_key] = w_classes.get(w_key, 0) + 1
+                    z_classes[z_key] = z_classes.get(z_key, 0) + 1
+                assert w_dp[length] == w_classes, (cap, length)
+                assert z_dp[length] == z_classes, (cap, length)
 
-    def test_tables_grow_only_as_far_as_asked(self, monkeypatch):
-        monkeypatch.setattr(wordlang, "_TABLES", [])
-        monkeypatch.setattr(wordlang, "_LENGTHS", wordlang._tables_by_length())
-        assert brute_count_pairs(8) == PAIR_COUNTS_NONE[6]
-        assert len(wordlang._TABLES) == 8  # word lengths 0..7
-        first = list(wordlang._TABLES)
-        assert brute_count_pairs(12, PairRule.RUN_NEEDS_MATCH) == 1009378
-        assert len(wordlang._TABLES) == 12  # extended to length 11
-        assert all(now is then for now, then in zip(wordlang._TABLES, first))
-        for n in (17, 1):
-            with pytest.raises(ValueError):
-                brute_count_pairs(n)
-        assert len(wordlang._TABLES) == 12
+    def test_rule_free_counts_follow_their_series(self):
+        # Need 0 leaves every block free: x^2 / ((1 - 4x + x^2) (1 - x)^2).
+        den = IntPolynomial((1, -4, 1)) * IntPolynomial((1, -2, 1))
+        coeffs = expand(rf(IntPolynomial((0, 0, 1)), den), PAIR_CAP)
+        for n in range(2, PAIR_CAP + 1):
+            assert brute_count_pairs(n) == coeffs[n], n
 
     def test_cap_enforced(self):
+        assert brute_count_pairs(PAIR_CAP, PairRule.RUN_NEEDS_MATCH) > 0
         with pytest.raises(ValueError):
-            brute_count_pairs(17)
+            brute_count_pairs(PAIR_CAP + 1)
         with pytest.raises(ValueError):
             brute_count_pairs(1)
 
