@@ -311,58 +311,30 @@ def _completions_1324(m: int, tops: tuple[int, ...]) -> int:
     return sum(_completions_1324(*s) for _, s in _moves_1324(m, tops))
 
 
-def _is_live(
-    moves: Callable[..., Iterator[tuple[int, tuple]]], alive: dict, state: tuple, r: int
-) -> bool:
-    """Whether `state`, with r unused values, has a completion; `alive` keeps each answer.
-
-    The search stops at the first completion it finds.
-    """
-    found = alive.get(state)
-    if found is None:
-        found = alive[state] = r == 0 or any(
-            _is_live(moves, alive, s, r - 1) for _, s in moves(*state)
-        )
-    return found
+_Moves = Callable[..., Iterator[tuple[int, tuple]]]
 
 
-def _live_moves(
-    moves: Callable[..., Iterator[tuple[int, tuple]]], memo: dict, alive: dict, state: tuple, r: int
-) -> tuple[tuple[int, tuple], ...]:
-    """The moves from `state`, with r unused values, into states that have a completion.
-
-    Stores them in `memo`; `alive` is `_is_live`'s.
-    """
-    found = memo[state] = tuple(
-        (i, s) for i, s in moves(*state) if _is_live(moves, alive, s, r - 1)
-    )
-    return found
-
-
-def _walk(
-    n: int, moves: Callable[..., Iterator[tuple[int, tuple]]], root: tuple
-) -> Iterator[tuple[int, ...]]:
+def _walk(n: int, moves: _Moves, root: tuple) -> Iterator[tuple[int, ...]]:
     """Yield the permutations of 1..n that `moves` allows, in lexicographic order.
 
     Follows `moves(*state)` depth first from `root`, the empty prefix's
     state, in one frame with a stack of move iterators; rank i is the i-th
     smallest of the sorted `unused` values.  Few states serve many avoiders
     (105 serve the 15,793 1324-avoiders of length 8), so a state's moves
-    are derived when the walk first pushes it and kept in a memo of this
-    walk's own; the counting caches are not touched.  Only moves into
-    states with a completion are kept (`_live_moves`, which asks
-    `_is_live`), so every prefix the walk pushes starts an avoider.  A 1324
-    move always leads to such a state; a generic one may not.
+    are derived once, when the walk first pushes it, into a memo of this
+    walk's own; the counting caches are not touched.  The last value is
+    read without its move, so every state the moves reach must have a
+    completion, as every 1324 state does (a decreasing suffix finishes
+    it); generic moves go through `_live`.
     """
     unused = list(range(1, n + 1))
     if n == 0:
         yield ()  # the empty permutation avoids every nonempty pattern
         return
-    memo: dict[tuple, tuple] = {}  # state -> its moves into live states
-    alive: dict[tuple, bool] = {}  # state -> whether it has a completion
+    memo: dict[tuple, tuple] = {}  # state -> its moves
     prefix: list[int] = []
     # The root's moves, then one level per entry of the prefix.
-    stack: list[Iterator] = [iter(_live_moves(moves, memo, alive, root, n))]
+    stack: list[Iterator] = [iter(moves(*root))]
     while stack:
         for i, state in stack[-1]:
             break
@@ -373,14 +345,34 @@ def _walk(
             continue
         prefix.append(unused.pop(i))
         if len(unused) > 1:
-            # A pushed state is live with values left, so its moves are not empty.
-            live = memo.get(state) or _live_moves(moves, memo, alive, state, len(unused))
-            stack.append(iter(live))
+            found = memo.get(state)
+            if found is None:
+                found = memo[state] = tuple(moves(*state))
+            stack.append(iter(found))
             continue
-        # The last value takes no level of its own: the state is live, so
-        # it has a move.  (At n = 1 none is left.)
+        # The last value takes no level of its own: the state has a
+        # completion, so it has a move.  (At n = 1 none is left.)
         yield (*prefix, *unused)
         unused.insert(i, prefix.pop())
+
+
+def _live(moves: _Moves) -> _Moves:
+    """The generic DP's `moves`, kept only into states that have a completion.
+
+    A generic state may have values left and no avoider to finish.  The
+    search for a completion stops at the first one it finds and keeps
+    each state's answer in a memo of this wrapper's own; state[0] is the
+    number of unused values.
+    """
+
+    @cache
+    def is_live(state: tuple) -> bool:
+        return state[0] == 0 or any(is_live(s) for _, s in moves(*state))
+
+    def live_moves(*state: object) -> Iterator[tuple[int, tuple]]:
+        return ((x, s) for x, s in moves(*state) if is_live(s))
+
+    return live_moves
 
 
 def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
@@ -434,10 +426,11 @@ def enumerate_avoiders(
 
     The arguments are checked at the call, the generic DP's cap of
     n <= 31 and a repeated pattern value included.  The walk follows the
-    moves of the pattern's counting DP (`_moves_1324` or `_moves_generic`)
-    into states that have a completion, in one frame, memoising them per
-    call and leaving the counting caches alone.  It builds only
-    permutations of 1..n, so the results skip `Permutation`'s check.
+    moves of the pattern's counting DP in one frame, memoising them per
+    call and leaving the counting caches alone: `_moves_1324` as they are,
+    `_moves_generic` only into states that have a completion (`_live`,
+    with a fresh memo per call).  It builds only permutations of 1..n, so
+    the results skip `Permutation`'s check.
 
     >>> [str(p) for p in enumerate_avoiders(3, (1, 3, 2))]
     ['123', '213', '231', '312', '321']
@@ -451,5 +444,5 @@ def enumerate_avoiders(
         walk = _walk(n, _moves_1324, (n, (n,) * n))
     else:
         _require_generic(n)
-        walk = _walk(n, partial(_moves_generic, pattern), (n, ()))
+        walk = _walk(n, _live(partial(_moves_generic, pattern)), (n, ()))
     return map(_trusted, walk)

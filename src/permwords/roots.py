@@ -2,11 +2,12 @@
 
 One exact route certifies the root that matters.  A Schur-Cohn count in
 integer arithmetic finds a rational radius R with exactly one zero of p
-in |x| < R.  The non-real zeros of a real polynomial come in conjugate
-pairs, so that zero is real; a sign change of p below R makes it
-positive, and exact bisection pins its digits.  Every other zero has
-modulus at least R, which proves the modulus gap.  Durand-Kerner
-iteration (`all_roots`) stays only as the tests' float oracle.
+in |x| < R.  The count is with multiplicity, so that zero is simple.
+The non-real zeros of a real polynomial come in conjugate pairs, so it
+is real; a sign change of p below R makes it positive, and exact
+bisection pins its digits.  Every other zero has modulus at least R,
+which proves the modulus gap.  Durand-Kerner iteration (`all_roots`)
+stays only as the tests' float oracle.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RootEstima
 
 
 def is_square_free(p: IntPolynomial) -> bool:
-    """Exact check: gcd(p, p') is a constant."""
+    """Exact check: gcd(p, p') is a constant.  No certificate needs it."""
     return _gcd_degree(p, p.derivative()) == 0
 
 
@@ -235,15 +236,16 @@ def _gcd_degree(a: IntPolynomial, b: IntPolynomial) -> int:
 def certified_smallest_root(p: IntPolynomial) -> RootEstimate:
     """Certify and refine p's smallest-modulus root, in exact arithmetic.
 
-    Demands: p square-free; a radius r, found by bisection, where the
-    Schur-Cohn count shows exactly one zero in |x| < r; and a sign change
-    of p on [lo, r], where lo is the search's last radius with count 0.
-    Outward steps then push r toward the next modulus, and the gap
-    r / (upper end of the root's interval) is proven.  Any shortfall
-    raises CertificateError with the data that failed.
+    Demands: a radius r, found by bisection, where the Schur-Cohn count
+    shows exactly one zero in |x| < r; and a sign change of p on [lo, r],
+    where lo is the search's last radius with count 0.  The count is
+    taken with multiplicity, so that zero is simple: a repeated smallest
+    zero leaves no radius with a count of one, while repeated zeros
+    further out do no harm.  Outward steps then push r toward the next
+    modulus, and the gap r / (upper end of the root's interval) is
+    proven.  Any shortfall raises CertificateError with the data that
+    failed.
     """
-    if not is_square_free(p):
-        raise CertificateError(f"{p.coeffs} is not square-free")
     lo, hi, r = Fraction(0), None, Fraction(1)
     for _ in range(SEARCH_STEPS):
         count = _zeros_inside(_scaled(p, r))

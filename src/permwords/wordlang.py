@@ -87,20 +87,16 @@ def _require_word(v: str) -> None:
 def count_segments_nocb(n: int) -> int:
     """Number of CB-free segments of length n.
 
-    A segment is an A followed by letters from {B, C, D}; forbidding CB
-    leaves s_1 = 1, s_2 = 3 and s_n = 3*s_{n-1} - s_{n-2}.
+    A segment is an A followed by letters from {B, C, D}.  The count sums
+    the pair-counting DP's segment layer (`_segment_classes`) over its
+    classes, so comparing it with SEGMENT_SERIES checks that layer.
 
     >>> [count_segments_nocb(n) for n in range(5)]
     [0, 1, 3, 8, 21]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0
-    a, b = 0, 1  # s_0, s_1
-    for _ in range(n - 1):
-        a, b = b, 3 * b - a
-    return b
+    return sum(_segment_classes(n, False, 0)[n].values())
 
 
 def count_nocb_words(n: int) -> int:

@@ -18,7 +18,7 @@ from permwords import (
 )
 from permwords.perm_core import (
     _count_generic,
-    _live_moves,
+    _live,
     _moves_generic,
     _walk,
     dp_state_count,
@@ -257,10 +257,12 @@ class TestEnumerate:
         # Every pattern is listed by walking its counting DP's moves.  The
         # generic DP's moves, walked on 1324 itself, are the 1324 walk's
         # independent oracle: the two DPs share only the walk loop, and must
-        # give the same avoiders in the same order.  Reversal maps
+        # give the same avoiders in the same order.  The generic moves need
+        # `_live`, as in `enumerate_avoiders`: walked raw, they let the last
+        # value complete the pattern (1324 itself at n = 4).  Reversal maps
         # 4231-avoiders onto 1324-avoiders, so the two engines also check
         # each other through that bijection.
-        moves = partial(_moves_generic, (1, 3, 2, 4))
+        moves = _live(partial(_moves_generic, (1, 3, 2, 4)))
         for n in range(9):
             walk = [p.entries for p in enumerate_avoiders(n, (1, 3, 2, 4))]
             assert walk == list(_walk(n, moves, (n, ()))), n
@@ -295,25 +297,23 @@ class TestEnumerate:
     def test_walk_pushes_only_prefixes_of_avoiders(self):
         # The one 21-avoider of length n is 1..n, but appending any other
         # value first leads to a state the generic DP only later finds
-        # dead.  The walk keeps only moves into states with a completion,
-        # so from the root its memo holds one path: every prefix it pushes
+        # dead.  `_live` keeps only moves into states with a completion, so
+        # from the root they form one path: every prefix the walk pushes
         # extends to the avoider.
         n = 25
-        moves = partial(_moves_generic, (2, 1))
-        memo: dict = {}
-        alive: dict = {}
+        moves = _live(partial(_moves_generic, (2, 1)))
         state, r = (n, ()), n
         while r:
-            ((rank, state),) = _live_moves(moves, memo, alive, state, r)
+            ((rank, state),) = moves(*state)
             assert rank == 0, r
             r -= 1
         assert [p.entries for p in enumerate_avoiders(n, (2, 1))] == [tuple(range(1, n + 1))]
 
     def test_first_avoider_derives_few_states(self, monkeypatch):
-        # The walk derives a state's moves when it first pushes it, and a
-        # child's liveness by a search that stops at its first completion,
-        # so the first avoider does not wait for every reachable state
-        # (25,409 move calls at n = 16).
+        # The walk derives a state's moves when it first pushes it, and
+        # takes the 1324 moves as given, so the first avoider costs one
+        # derivation per level, not one per reachable state (25,409 move
+        # calls at n = 16).
         n = 16
         calls = 0
         moves = perm_core._moves_1324
@@ -325,7 +325,38 @@ class TestEnumerate:
 
         monkeypatch.setattr(perm_core, "_moves_1324", counted)
         assert next(enumerate_avoiders(n, (1, 3, 2, 4))).entries == tuple(range(1, n + 1))
-        assert 0 < calls <= n**2
+        assert 0 < calls <= n
+
+    def test_full_walk_derives_each_state_once(self, monkeypatch):
+        # 103 states of the length-8 walk have two or more values left, and
+        # the walk derives the moves of each exactly once.
+        seen: list[tuple] = []
+        moves = perm_core._moves_1324
+
+        def counted(*state):
+            seen.append(state)
+            return moves(*state)
+
+        monkeypatch.setattr(perm_core, "_moves_1324", counted)
+        assert len(list(enumerate_avoiders(8, (1, 3, 2, 4)))) == COUNTS_1324[8]
+        assert len(seen) == len(set(seen)) == 103
+
+    def test_every_reachable_1324_state_has_a_completion(self):
+        # The walk takes the 1324 moves as given, which is sound only when
+        # no state they reach is dead.
+        perm_core._completions_1324.cache_clear()
+        try:
+            for n in range(13):
+                root = (n, (n,) * n)
+                todo, reached = [root], {root}
+                while todo:
+                    for _, s in perm_core._moves_1324(*todo.pop()):
+                        if s not in reached:
+                            reached.add(s)
+                            todo.append(s)
+                assert all(perm_core._completions_1324(*s) > 0 for s in reached), n
+        finally:
+            perm_core._completions_1324.cache_clear()
 
     def test_walk_leaves_the_count_cache_alone(self):
         for pattern, engine in (

@@ -102,6 +102,47 @@ class TestSchurCohn:
                 compared += 1
         assert compared > 1000
 
+    def test_count_matches_known_moduli(self):
+        """Products of factors with known moduli are the exact oracle of the count.
+
+        Each factor is b*x - a (modulus |a|/b) or x^2 + c*x + d with
+        c^2 < 4d (a conjugate pair of modulus sqrt(d)), and some repeat.
+        On 300 seeded products of degree <= 9, the count in |x| < R is
+        the number of zeros, with multiplicity, of squared modulus below
+        R^2; radii on a modulus are skipped.  A singular step (None)
+        decides nothing, and must stay rare.
+        """
+
+        def known_factor() -> tuple[IntPolynomial, Fraction]:
+            if rng.random() < 0.5:
+                a, b = rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)
+                return IntPolynomial((-a, b)), Fraction(a, b) ** 2
+            d = rng.randint(1, 9)
+            c = rng.choice([c for c in range(-5, 6) if c * c < 4 * d])
+            return IntPolynomial((d, c, 1)), Fraction(d)
+
+        rng = random.Random(9)
+        compared = singular = repeated = 0
+        for _ in range(300):
+            factors: list[tuple[IntPolynomial, Fraction]] = []
+            for _ in range(rng.randint(1, 5)):
+                f = rng.choice(factors) if factors and rng.random() < 0.3 else known_factor()
+                if sum(g.degree for g, _ in factors) + f[0].degree <= 9:
+                    repeated += f in factors
+                    factors.append(f)
+            p = IntPolynomial((1,))
+            for f, _ in factors:
+                p = p * f
+            for r in (Fraction(rng.randint(1, 300), 100) for _ in range(4)):
+                if any(m == r * r for _, m in factors):
+                    continue
+                inside = sum(f.degree for f, m in factors if m < r * r)
+                got = _zeros_inside(_scaled(p, r))
+                assert got in (inside, None), (factors, r)
+                compared += got is not None
+                singular += got is None
+        assert compared > 1000 and singular <= 10 and repeated > 50
+
     def test_singular_steps_give_no_count(self):
         for p in (NOCB_WORD_SERIES.den, IntPolynomial((1, 0, 1))):
             assert _zeros_inside(_scaled(p, Fraction(1))) is None
@@ -155,9 +196,26 @@ class TestSquareFree:
                    PAIR_SERIES_CAB_RUN):
             assert is_square_free(gf.den)
 
-    def test_certificate_refuses_squares(self):
+    def test_certificate_refuses_a_repeated_smallest_zero(self):
+        # The count, with multiplicity, jumps from 0 to 2 at |x| = 1, so no
+        # radius holds exactly one zero.
         with pytest.raises(CertificateError):
             certified_smallest_root(linear(1) * linear(1) * linear(-2))
+
+    def test_certificate_takes_a_square_beyond_the_smallest_zero(self):
+        # (3x - 1)(x - 2)^2: the simple zero 1/3, then a double one at 2.
+        est = certified_smallest_root(IntPolynomial((-1, 3)) * linear(2) * linear(2))
+        assert abs(est.value - 1 / 3) <= est.radius
+        assert 5.9 < est.modulus_gap <= 6
+
+    def test_rule_free_pair_series_has_a_bound(self):
+        # Need 0: x^2 / ((1 - 4x + x^2)(1 - x)^2), the square at x = 1.
+        den = NOCB_WORD_SERIES.den * linear(1) * linear(1)
+        est = certified_smallest_root(den)
+        assert abs(est.value - (2 - math.sqrt(3))) <= est.radius
+        assert 3.7 < est.modulus_gap <= 2 + math.sqrt(3)
+        bound = growth_bound(rf(IntPolynomial((0, 0, 1)), den))
+        assert abs(bound - 13.928203230) <= 1e-9
 
 
 def fraction_gcd_degree(a: IntPolynomial, b: IntPolynomial) -> int:
