@@ -362,15 +362,23 @@ def _live(moves: _Moves) -> _Moves:
     A generic state may have values left and no avoider to finish.  The
     search for a completion stops at the first one it finds and keeps
     each state's answer in a memo of this wrapper's own; state[0] is the
-    number of unused values.
+    number of unused values.  The search and the kept moves read one
+    store of each state's raw moves, so `moves` runs once per state.
     """
+    raw: dict[tuple, tuple] = {}  # state -> its moves, live or not
+
+    def moves_of(state: tuple) -> tuple:
+        found = raw.get(state)
+        if found is None:
+            found = raw[state] = tuple(moves(*state))
+        return found
 
     @cache
     def is_live(state: tuple) -> bool:
-        return state[0] == 0 or any(is_live(s) for _, s in moves(*state))
+        return state[0] == 0 or any(is_live(s) for _, s in moves_of(state))
 
     def live_moves(*state: object) -> Iterator[tuple[int, tuple]]:
-        return ((x, s) for x, s in moves(*state) if is_live(s))
+        return ((x, s) for x, s in moves_of(state) if is_live(s))
 
     return live_moves
 

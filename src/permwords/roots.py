@@ -6,8 +6,11 @@ in |x| < R.  The count is with multiplicity, so that zero is simple.
 The non-real zeros of a real polynomial come in conjugate pairs, so it
 is real; a sign change of p below R makes it positive, and exact
 bisection pins its digits.  Every other zero has modulus at least R,
-which proves the modulus gap.  Durand-Kerner iteration (`all_roots`)
-stays only as the tests' float oracle.
+which proves the modulus gap.  Each sign comes from one evaluator,
+`_scaled_value`: b^n * p(a/b) by Horner's rule in ints, so the
+bisection runs on int numerators over one shared denominator.
+Durand-Kerner iteration (`all_roots`) stays only as the tests' float
+oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .series import IntPolynomial, RationalFunction
 
@@ -140,10 +143,26 @@ def all_roots(
 def _scaled(p: IntPolynomial, x: Fraction) -> list[int]:
     """The int coefficients of b^n * p(a*t/b) in t, for x = a/b, n = deg p.
 
-    Their sum has the sign of p(x); their zeros in |t| < 1 are p's in |t| < x.
+    Their zeros in |t| < 1 are p's in |t| < x: they feed Schur-Cohn
+    (`_zeros_inside`) only, and signs come from `_scaled_value`.
     """
     a, b, n = x.numerator, x.denominator, p.degree
     return [c * a**i * b ** (n - i) for i, c in enumerate(p.coeffs)]
+
+
+def _scaled_value(p: IntPolynomial, a: int, b: int) -> int:
+    """b^n * p(a/b) for n = deg p, by Horner's rule in ints.
+
+    For b > 0 it has the sign of p(a/b), whether or not a/b is reduced.
+
+    >>> _scaled_value(IntPolynomial((-1, 0, 2)), 1, 2)  # 4 * (2/4 - 1)
+    -2
+    """
+    value, power = 0, 1
+    for c in reversed(p.coeffs):
+        value = value * a + c * power
+        power *= b
+    return value
 
 
 def _zeros_inside(c: list[int]) -> int | None:
@@ -181,32 +200,37 @@ def _primitive(c: list[int]) -> list[int]:
 def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RootEstimate:
     """Bisect a sign-change bracket down to half-width PRECISION, exactly.
 
-    Each sign is that of an integer sum (see `_scaled`), so the returned
-    interval is a proof, not an estimate.  Endpoints with equal signs are
-    refused.
+    The bracket is held as int numerators over one shared denominator,
+    which doubles at each step, so every midpoint is the exact rational
+    (lo + hi) / 2.  Each sign is that of an int (`_scaled_value`), so the
+    returned interval is a proof, not an estimate.  Endpoints with equal
+    signs are refused.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    f_lo, f_hi = sum(_scaled(p, lo)), sum(_scaled(p, hi))
+    den = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    f_lo, f_hi = _scaled_value(p, a, den), _scaled_value(p, b, den)
     if f_lo * f_hi > 0:
         raise ValueError(f"no sign change on [{lo}, {hi}]: p has one sign at both")
     if f_lo * f_hi == 0:
-        lo = hi = lo if f_lo == 0 else hi
+        a = b = a if f_lo == 0 else b
     width = Fraction(2 * PRECISION)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        f_mid = sum(_scaled(p, mid))
+    while (b - a) * width.denominator > width.numerator * den:
+        mid, den = a + b, 2 * den  # the midpoint, over the doubled denominator
+        f_mid = _scaled_value(p, mid, den)
         if f_mid == 0:
-            lo = hi = mid
+            a = b = mid
         elif (f_mid > 0) == (f_lo > 0):
-            lo = mid
+            a, b = mid, 2 * b
         else:
-            hi = mid
-    mid = (lo + hi) / 2
+            a, b = 2 * a, mid
+    # int / int rounds correctly, so these are the floats of the Fractions
+    value = (a + b) / (2 * den)
     # half-width plus a float-rounding ulp so the interval stays honest
-    radius = float((hi - lo) / 2) + abs(float(mid)) * 2.3e-16 + 5e-324
-    return RootEstimate(value=float(mid), radius=radius)
+    radius = (b - a) / (2 * den) + abs(value) * 2.3e-16 + 5e-324
+    return RootEstimate(value=value, radius=radius)
 
 
 def is_square_free(p: IntPolynomial) -> bool:
@@ -261,7 +285,8 @@ def certified_smallest_root(p: IntPolynomial) -> RootEstimate:
             f"no radius holds exactly one zero of {p.coeffs} after {SEARCH_STEPS} "
             f"steps (none in |x| < {float(lo):.6g})"
         )
-    if sum(_scaled(p, lo)) * sum(_scaled(p, r)) >= 0:
+    f_lo, f_r = (_scaled_value(p, x.numerator, x.denominator) for x in (lo, r))
+    if f_lo * f_r >= 0:
         raise CertificateError(
             f"the one zero of {p.coeffs} in |x| < {float(r):.6g} is not positive"
         )

@@ -24,9 +24,9 @@ the one to the left, must end in C.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass
 from math import inf
+from operator import add, mul
 from typing import Sequence
 
 from .encoder import encode
@@ -46,8 +46,8 @@ ALPHABET = "ABCD"
 _NOT_LETTERS = str.maketrans("", "", ALPHABET)  # translate() keeps only the rest
 # Largest total length a pair count takes, and the top of `--cap-pairs`.  A
 # count of length n takes about n^3 steps.  On a 2-core Xeon VM `verify gf`'s
-# pair work takes 0.11-0.15 s at n = 32 (0.3 s at 40, 0.5-0.7 s at 48), and the
-# whole suite 0.2-0.4 s and 17 MB.
+# pair work takes 0.05-0.08 s at n = 32 (0.09-0.14 s at 40, 0.16-0.20 s at 48),
+# and the whole suite 0.13-0.25 s and 16-17 MB.
 PAIR_CAP = 32
 # Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).  On a
 # 2-core Xeon VM `verify --suite all --n 10` takes 19-21 s and 17.7 MB; n = 11
@@ -96,7 +96,7 @@ def count_segments_nocb(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return sum(_segment_classes(n, False, 0)[n].values())
+    return sum(map(sum, _segment_classes(n, False, 0)[n]))
 
 
 def count_nocb_words(n: int) -> int:
@@ -177,26 +177,36 @@ def check_pair(w: str, z: str, rules: PairRule = PairRule.NONE) -> bool:
 
 def _segment_classes(
     max_len: int, every_b: bool, cap: float
-) -> list[dict[tuple[int, bool], int]]:
-    """CB-free segments of lengths 0..max_len, counted by (key, ends in C).
+) -> list[tuple[list[int], list[int]]]:
+    """CB-free segments of lengths 0..max_len, counted by key and by end letter.
 
-    The key is the number of Bs right after the A, or of every B when
-    every_b is set, capped at cap.
+    Entry L holds two lists indexed by key: the segments of length L that
+    do not end in C, then those that do.  The key is the number of Bs right
+    after the A, or of every B when every_b is set, capped at cap; keys run
+    up to min(cap, max_len).
     """
-    by_length: list[dict[tuple[int, bool], int]] = [{}]
-    states = {(0, False, True): 1}  # "A": (key, last letter is C, a B now counts)
+    top = min(cap, max_len)
+    run = [1] + [0] * top  # "A": last letter A or B, and a B now counts
+    after_c = [0] * (top + 1)  # last letter C
+    rest = [0] * (top + 1)  # last letter B or D, and a B no longer counts
+    by_length = [([0] * (top + 1), [0] * (top + 1))]
     for _ in range(max_len):
-        classes: dict[tuple[int, bool], int] = defaultdict(int)
-        grown: dict[tuple[int, bool, bool], int] = defaultdict(int)
-        for (key, after_c, counting), count in states.items():
-            classes[key, after_c] += count
-            if not after_c:
-                grown[min(key + counting, cap), False, counting] += count
-            grown[key, True, every_b] += count
-            grown[key, False, every_b] += count
-        by_length.append(classes)
-        states = grown
+        by_length.append((list(map(add, run, rest)), after_c))
+        total = [r + c + d for r, c, d in zip(run, after_c, rest)]
+        shifted = [0, *run[:-1]]  # a counted B raises the key
+        shifted[-1] += run[-1]  # but not past the cap
+        if every_b:
+            run = list(map(add, shifted, total))  # a D: the next B counts too
+        else:
+            run, rest = shifted, list(map(add, total, rest))
+        after_c = total
     return by_length
+
+
+def _add_shifted(row: list[int], shift: int, factor: int, col: list[int]) -> None:
+    """row[shift + b] += factor * col[b] for each b >= 1 that row reaches."""
+    for i, v in enumerate(col[1 : len(row) - shift], start=shift + 1):
+        row[i] += factor * v
 
 
 def brute_count_pairs(n: int, rules: PairRule = PairRule.NONE) -> int:
@@ -215,30 +225,31 @@ def brute_count_pairs(n: int, rules: PairRule = PairRule.NONE) -> int:
     if not 2 <= n <= PAIR_CAP:
         raise ValueError(f"n must be within 2..{PAIR_CAP}, got {n}")
     need = _NEED_BY_TOP_BIT[rules.value.bit_length()]
-    w_classes = _segment_classes(n - 1, False, need)
-    # at_least[b][k]: z segments of length b with at least k Bs (k capped at need)
-    at_least = [
-        [sum(count for (bs, _), count in classes.items() if bs >= k) for k in range(n)]
-        for classes in _segment_classes(n - 1, True, need)
-    ]
-    # block[ends_c, left_c][L]: blocks of total length L
-    block = {(e, c): [0] * (n + 1) for e in (False, True) for c in (False, True)}
-    for a in range(1, n):
-        for (run, ends_c), count in w_classes[a].items():
-            for b in range(1, n - a + 1):
-                block[ends_c, False][a + b] += count * at_least[b][0]
-                block[ends_c, True][a + b] += count * at_least[b][run]
+    # at_least[k][b]: z segments of length b with at least k Bs, k capped at
+    # need, as suffix sums over the B count; the last row, past every key, is 0
+    by_bs = [list(map(add, *classes)) for classes in _segment_classes(n - 1, True, need)]
+    at_least = [[0] * n for _ in range(len(by_bs[0]) + 1)]
+    for b, counts in enumerate(by_bs):
+        for k in range(len(counts) - 1, -1, -1):
+            at_least[k][b] = at_least[k + 1][b] + counts[k]
+    # block[ends_c][left_c][L]: blocks of total length L whose w segment ends
+    # in C iff ends_c, and whose left neighbour ends in C iff left_c
+    block = [[[0] * (n + 1) for _ in range(2)] for _ in range(2)]
+    for a, classes in enumerate(_segment_classes(n - 1, False, need)):
+        for (free, fits), counts in zip(block, classes):
+            _add_shifted(free, a, sum(counts), at_least[0])
+            for run, count in enumerate(counts):
+                if count:
+                    _add_shifted(fits, a, count, at_least[run])
     # reach[c][k]: block sequences of total length k after which the next w
     # segment must end in C iff c; before the first block either may.
-    reach = {c: [1] + [0] * n for c in (False, True)}
+    reach = [[1] + [0] * n for _ in range(2)]
     for k in range(2, n + 1):
-        for c in (False, True):
+        for c in (0, 1):
             reach[c][k] = sum(
-                reach[e][k - size] * block[e, c][size]
-                for e in (False, True)
-                for size in range(2, k + 1)
+                sum(map(mul, reach[e][k - 2 :: -1], block[e][c][2 : k + 1])) for e in (0, 1)
             )
-    return reach[False][n]
+    return reach[0][n]
 
 
 @dataclass(frozen=True)

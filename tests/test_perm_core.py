@@ -341,6 +341,23 @@ class TestEnumerate:
         assert len(list(enumerate_avoiders(8, (1, 3, 2, 4)))) == COUNTS_1324[8]
         assert len(seen) == len(set(seen)) == 103
 
+    def test_full_generic_walk_derives_each_state_once(self, monkeypatch):
+        # `_live`'s search and its kept moves share one store of raw moves,
+        # so each state the walk or the search reaches is derived once: 158
+        # states at n = 8 and 314 at n = 9 for 4231 (263 and 523 calls when
+        # the two derived them apart).
+        moves = perm_core._moves_generic
+        for n, states in ((8, 158), (9, 314)):
+            seen: list[tuple] = []
+
+            def counted(*args):
+                seen.append(args)
+                return moves(*args)
+
+            monkeypatch.setattr(perm_core, "_moves_generic", counted)
+            assert len(list(enumerate_avoiders(n, (4, 2, 3, 1)))) == COUNTS_1324[n]
+            assert len(seen) == len(set(seen)) == states, n
+
     def test_every_reachable_1324_state_has_a_completion(self):
         # The walk takes the 1324 moves as given, which is sound only when
         # no state they reach is dead.

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,11 @@ from permwords import (
 )
 from permwords.cli import BOUND_ROWS
 from permwords.roots import (
+    PRECISION,
     CertificateError,
     _gcd_degree,
     _scaled,
+    _scaled_value,
     _zeros_inside,
     all_roots,
     is_square_free,
@@ -62,7 +65,104 @@ class TestAllRoots:
         assert mods == sorted(mods)
 
 
+def fraction_value(p: IntPolynomial, x: Fraction) -> Fraction:
+    return sum((c * x**i for i, c in enumerate(p.coeffs)), Fraction(0))
+
+
+def reference_refine(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RootEstimate:
+    """The oracle of `refine_real_root`: the same bisection on Fractions.
+
+    Each midpoint is a reduced Fraction and each sign that of p there,
+    evaluated in Fractions, so it shares no arithmetic with the int
+    bisection; the midpoints, and so the result, must be the same.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    f_lo, f_hi = fraction_value(p, lo), fraction_value(p, hi)
+    if f_lo * f_hi > 0:
+        raise ValueError(f"no sign change on [{lo}, {hi}]: p has one sign at both")
+    if f_lo * f_hi == 0:
+        lo = hi = lo if f_lo == 0 else hi
+    width = Fraction(2 * PRECISION)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        f_mid = fraction_value(p, mid)
+        if f_mid == 0:
+            lo = hi = mid
+        elif (f_mid > 0) == (f_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    mid = (lo + hi) / 2
+    radius = float((hi - lo) / 2) + abs(float(mid)) * 2.3e-16 + 5e-324
+    return RootEstimate(value=float(mid), radius=radius)
+
+
+def random_polynomial(rng: random.Random) -> IntPolynomial:
+    coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+    return IntPolynomial((*coeffs, rng.choice((-1, 1)) * rng.randint(1, 9)))
+
+
+class TestScaledValue:
+    def test_matches_fraction_evaluation(self):
+        # b^n p(a/b), at positive and negative rationals, reduced or not.
+        rng = random.Random(19)
+        signs = set()
+        for _ in range(500):
+            p = random_polynomial(rng)
+            x = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
+            k = rng.randint(1, 3)
+            a, b = k * x.numerator, k * x.denominator
+            exact = b**p.degree * fraction_value(p, x)
+            assert _scaled_value(p, a, b) == exact, (p, a, b)
+            signs.add((x > 0) - (x < 0))
+        assert signs == {-1, 0, 1}
+
+
 class TestRefine:
+    def test_matches_the_fraction_bisection(self):
+        # Seeded brackets with a sign change: dyadic and non-dyadic
+        # endpoints, given as ints or Fractions, on random polynomials and
+        # the bound rows' denominators.
+        rng = random.Random(19)
+        cases = [
+            (gf.den, Fraction(1, 4), Fraction(3, 10)) for _, gf, _, _ in BOUND_ROWS
+        ]
+        while len(cases) < 200:
+            p = random_polynomial(rng)
+            if rng.random() < 0.5:
+                lo = Fraction(rng.randint(-64, 63), 2 ** rng.randint(0, 5))
+                hi = lo + Fraction(rng.randint(1, 64), 2 ** rng.randint(0, 5))
+            else:
+                lo = Fraction(rng.randint(-60, 59), rng.choice((3, 5, 7, 21)))
+                hi = lo + Fraction(rng.randint(1, 60), rng.choice((1, 9, 11, 35)))
+            if fraction_value(p, lo) * fraction_value(p, hi) <= 0:
+                cases.append((p, lo, hi))
+        cases += [
+            (IntPolynomial((-2, 0, 1)), 1, 2),  # ints
+            (IntPolynomial((-2, 0, 1)), 1, Fraction(3, 2)),
+            (IntPolynomial((3, -4)), 0, 1),  # a midpoint hits 3/4
+        ]
+        for p, lo, hi in cases:
+            assert refine_real_root(p, lo, hi) == reference_refine(p, lo, hi), (p, lo, hi)
+
+    def test_exact_zero_at_an_endpoint(self):
+        # (2x - 1)(x - 3) on [1/2, 1]: p(1/2) = 0 ends the bisection at once.
+        p = IntPolynomial((-1, 2)) * linear(3)
+        est = refine_real_root(p, Fraction(1, 2), Fraction(1))
+        assert est == reference_refine(p, Fraction(1, 2), Fraction(1))
+        assert est.value == 0.5 and est.radius < 1e-15
+        assert refine_real_root(p, 2, 3) == reference_refine(p, 2, 3)  # at hi
+
+    def test_refusals_match_the_fraction_bisection(self):
+        p = IntPolynomial((-2, 0, 1))
+        for lo, hi in ((Fraction(3), Fraction(4)), (2, Fraction(5, 2)), (1, 1), (2, 1)):
+            with pytest.raises(ValueError) as expected:
+                reference_refine(p, lo, hi)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                refine_real_root(p, lo, hi)
+
     def test_sqrt2(self):
         est = refine_real_root(IntPolynomial((-2, 0, 1)), Fraction(1), Fraction(2))
         assert abs(est.value - math.sqrt(2)) <= est.radius + 5e-16
