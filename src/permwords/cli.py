@@ -40,13 +40,9 @@ BOUND_ROWS = (
 )
 
 
-def _round10(v: float) -> float:
-    return float(f"{v:.10g}")
-
-
 def _jsonify(value: Any) -> Any:
     if isinstance(value, float):
-        return _round10(value)
+        return float(f"{value:.10g}")
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -64,9 +60,8 @@ def _add_check(report: dict[str, Any], name: str, passed: bool, detail: str) -> 
 
 
 def _fmt(v: Any) -> str:
-    if isinstance(v, float):
-        return f"{_round10(v):.10g}"
-    return str(v)
+    """A value of a `_jsonify`'d doc, whose floats are already rounded."""
+    return f"{v:.10g}" if isinstance(v, float) else str(v)
 
 
 def render_plain(doc: dict[str, Any]) -> str:

@@ -4,7 +4,7 @@ One dynamic program per pattern does all three jobs: a DP for 1324 and a
 generic one for every other pattern.  Each describes the moves from a
 prefix's state, the ranks that the next entry may take.  Counting sums
 over the moves, listing walks them depth first (`_walk`), and
-containment runs the generic DP on the host as a prefix.
+containment steps the generic DP through the host's entries.
 
 Conventions used throughout the package:
 
@@ -89,10 +89,12 @@ def contains(
 ) -> bool:
     """True when p has a subsequence order-isomorphic to q.
 
-    Counts, with the generic DP, the q-avoiders of p's length that start
-    with p: that is p alone when p avoids q, and none otherwise.  Like that
-    DP, it takes p of length at most 31 and raises ValueError beyond.  p
-    and q may hold any distinct values; a repeated value raises ValueError.
+    Feeds p's entries through the generic DP's `_step`, each as its rank
+    among the values still unused: p contains q exactly when a step
+    completes an occurrence.  No count is taken, so the counting memo is
+    left alone.  Like that DP, it takes p of length at most 31 and raises
+    ValueError beyond.  p and q may hold any distinct values; a repeated
+    value raises ValueError.
 
     >>> contains(Permutation.parse("2537164"), (1, 3, 2, 4))
     True
@@ -100,8 +102,17 @@ def contains(
     False
     """
     entries, pattern = _order_type(p), _order_type(q)
-    # The empty pattern occurs in every p; the DP needs a slot to match.
-    return not pattern or not _count_generic(len(entries), list(entries), pattern)
+    if not pattern:
+        return True  # the empty pattern occurs in every p; the DP needs a slot to match
+    _require_generic(len(entries))
+    unused = list(range(1, len(entries) + 1))
+    state: tuple[int, ...] | None = ()
+    for v in entries:
+        state = _step(pattern, len(unused), state, unused.index(v))
+        if state is None:
+            return True
+        unused.remove(v)
+    return False
 
 
 _PATTERN_1324 = (1, 3, 2, 4)
@@ -238,23 +249,6 @@ def _require_generic(n: int) -> None:
     """Raise ValueError unless n fits the generic DP's packed ranks."""
     if n >= _W:
         raise ValueError(f"the generic DP handles n <= {_W - 1}, got {n}")
-
-
-def _count_generic(n: int, prefix: list[int], q: tuple[int, ...]) -> int:
-    """Number of q-avoiding permutations of 1..n that start with `prefix`.
-
-    `q` is the pattern as a permutation of 1..k.
-    """
-    _require_generic(n)
-    state: tuple[int, ...] | None = ()
-    used: list[int] = []
-    for v in prefix:
-        x = v - 1 - sum(u < v for u in used)
-        state = _step(q, n - len(used), state, x)
-        if state is None:
-            return 0
-        used.append(v)
-    return _completions_generic(q, n - len(used), state)
 
 
 def _flatten(entries: tuple[int, ...]) -> tuple[int, ...]:
@@ -410,7 +404,8 @@ def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
         return factorial(n)
     if pattern == _PATTERN_1324:
         return _completions_1324(n, (n,) * n)
-    return _count_generic(n, [], pattern)
+    _require_generic(n)
+    return _completions_generic(pattern, n, ())
 
 
 def dp_state_count(q: Permutation | Sequence[int]) -> int:

@@ -121,7 +121,8 @@ class RationalFunction:
 
     The constant-term demand is what makes every RationalFunction a
     power series at 0.  Equality is by cross-multiplication, so the lack
-    of normalization never shows.
+    of normalization never shows; no hash agrees with it, so the class is
+    unhashable.
     """
 
     num: IntPolynomial
@@ -166,9 +167,6 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return rf_equal(self, other)
-
-    def __hash__(self) -> int:  # unreduced forms hash unequal; do not rely on it
-        return object.__hash__(self)
 
 
 def rf_equal(f: RationalFunction, g: RationalFunction) -> bool:

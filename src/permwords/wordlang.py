@@ -27,7 +27,6 @@ import enum
 from dataclasses import dataclass
 from math import inf
 from operator import add, mul
-from typing import Sequence
 
 from .encoder import encode
 from .perm_core import enumerate_avoiders
@@ -102,24 +101,18 @@ def count_segments_nocb(n: int) -> int:
 def count_nocb_words(n: int) -> int:
     """Number of CB-free words of length n over ABCD.
 
-    >>> [count_nocb_words(n) for n in range(4)]
-    [1, 4, 15, 56]
+    Two counts suffice: the words that end in C, which take any letter but
+    B next, and the rest, which take any letter.
+
+    >>> [count_nocb_words(n) for n in range(6)]
+    [1, 4, 15, 56, 209, 780]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # One count per last letter; only B after C is barred.
-    counts = {letter: 1 for letter in ALPHABET}
-    if n == 0:
-        return 1
-    for _ in range(n - 1):
-        total = sum(counts.values())
-        counts = {
-            "A": total,
-            "B": total - counts["C"],
-            "C": total,
-            "D": total,
-        }
-    return sum(counts.values())
+    ends_c, rest = 0, 1  # the empty word
+    for _ in range(n):
+        ends_c, rest = ends_c + rest, 2 * ends_c + 3 * rest
+    return ends_c + rest
 
 
 def _cab_runs(v: str) -> list[int]:
@@ -143,16 +136,19 @@ def _b_counts(z: str) -> list[int]:
 _NEED_BY_TOP_BIT = (0, 1, 2, inf)
 
 
-def _runs_compatible(runs: Sequence[int], b_counts: Sequence[int], rules: PairRule) -> bool:
-    need = _NEED_BY_TOP_BIT[rules.value.bit_length()]
-    for run, bs in zip(runs, b_counts):
-        if bs < run and bs < need:
-            return False
-    return True
+def _shortfall(w: str, z: str) -> float:
+    """The fewest Bs of a z segment that falls below its matched CAB run, or inf.
+
+    A rule set with need k admits the pair exactly when this is at least k.
+    """
+    return min((bs for run, bs in zip(_cab_runs(w), _b_counts(z)) if bs < run), default=inf)
 
 
 def check_pair(w: str, z: str, rules: PairRule = PairRule.NONE) -> bool:
     """Screen the pair (w, z) by the base test plus the given rules.
+
+    The rules hold when `_shortfall(w, z)`, the fewest Bs of a segment
+    below its run, is at least the rule set's need (`_NEED_BY_TOP_BIT`).
 
     >>> check_pair("A", "A")
     True
@@ -169,7 +165,7 @@ def check_pair(w: str, z: str, rules: PairRule = PairRule.NONE) -> bool:
         return False
     if "CB" in w or "CB" in z:
         return False
-    return not rules or _runs_compatible(_cab_runs(w), _b_counts(z), rules)
+    return not rules or _shortfall(w, z) >= _NEED_BY_TOP_BIT[rules.value.bit_length()]
 
 
 # --- pair counting ---------------------------------------------------------
@@ -281,10 +277,11 @@ def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
 
     Each avoider is encoded once, in rule4prime mode, and its pair passes
     the base test of `check_pair` once; a pair that fails it breaks every
-    rule set.  When w holds a CAB factor, one pass over its runs and B
-    counts then finds the fewest Bs of a segment that falls below its run,
-    and a rule set fails when that is below its need, so "cab", "cabb" and
-    "cab_k" share the pass.  Without one every run is 0 and all three pass.
+    rule set.  When w holds a CAB factor, `check_pair`'s screen,
+    `_shortfall`, then finds the fewest Bs of a segment that falls below
+    its run, and a rule set fails when that is below its need, so "cab",
+    "cabb" and "cab_k" share one pass.  Without one every run is 0 and all
+    three pass.
 
     >>> verify_lemma_on_avoiders(4).violations
     {'cab': (), 'cabb': (), 'cab_k': ()}
@@ -305,7 +302,7 @@ def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
             continue
         if "CAB" not in w:
             continue  # every CAB run is 0, so no segment falls below its run
-        short = min((bs for run, bs in zip(_cab_runs(w), _b_counts(z)) if bs < run), default=inf)
+        short = _shortfall(w, z)
         for name, need in needs.items():
             if short < need:
                 violations[name].append((str(p), w, z))

@@ -17,9 +17,10 @@ from permwords import (
     perm_core,
 )
 from permwords.perm_core import (
-    _count_generic,
+    _completions_generic,
     _live,
     _moves_generic,
+    _step,
     _walk,
     dp_state_count,
 )
@@ -137,6 +138,13 @@ class TestContains:
         for pattern in ((1,), (2, 1), (1, 3, 2, 4)):
             assert not contains((), pattern)
 
+    def test_leaves_the_count_cache_alone(self):
+        # Containment steps through the host; it takes no count.
+        perm_core._completions_generic.cache_clear()
+        assert not contains((3, 6, 1, 2, 7, 4, 5), (1, 3, 2, 4))
+        assert contains((2, 5, 3, 7, 1, 6, 4), (1, 3, 2, 4))
+        assert perm_core._completions_generic.cache_info().currsize == 0
+
 
 class TestCountAvoiders:
     def test_frozen_1324_counts(self):
@@ -172,10 +180,10 @@ class TestCountAvoiders:
 
 
 class TestGenericCount:
-    """Independent oracles for the generic counting DP (`_count_generic`).
+    """Independent oracles for the generic counting DP (`_completions_generic`).
 
     Brute force over every permutation (`brute_contains`, not `contains`,
-    which runs this DP) and published sequences check the window DP from
+    which steps this DP) and published sequences check the window DP from
     outside.  The walk (`enumerate_avoiders`) follows the DP's own moves, so
     it checks only that counting and listing agree.
     """
@@ -207,7 +215,18 @@ class TestGenericCount:
                 for length in range(min(n, 3) + 1):
                     for prefix in itertools.permutations(range(1, n + 1), length):
                         brute = sum(1 for p in avoiders if p[:length] == prefix)
-                        got = _count_generic(n, list(prefix), pattern)
+                        # Step the prefix in, each entry as its rank among
+                        # the unused values, and count from where it ends.
+                        unused = list(range(1, n + 1))
+                        state = ()
+                        got = 0
+                        for v in prefix:
+                            state = _step(pattern, len(unused), state, unused.index(v))
+                            if state is None:
+                                break
+                            unused.remove(v)
+                        else:
+                            got = _completions_generic(pattern, len(unused), state)
                         assert got == brute, (pattern, n, prefix)
 
     def test_4231_is_a061552_up_to_the_cap(self):

@@ -105,6 +105,16 @@ class TestRationalFunction:
         assert rf_equal(half, also_half)
         assert half != rf(X, ONE - X)
 
+    def test_is_unhashable(self):
+        # Equal unreduced forms would hash apart, so a set or dict could
+        # hold one function twice; equality by cross-multiplication has no
+        # matching hash.
+        half = rf(X, IntPolynomial((2,)) * (ONE - X))
+        also_half = rf(X * 2, IntPolynomial((4,)) * (ONE - X))
+        for f in (half, also_half):
+            with pytest.raises(TypeError):
+                hash(f)
+
     def test_arithmetic(self):
         a = rf(ONE, ONE - X)
         b = rf(X, ONE - X)

@@ -25,7 +25,6 @@ from permwords.wordlang import (
     PAIR_CAP,
     _b_counts,
     _cab_runs,
-    _runs_compatible,
     _segment_classes,
 )
 
@@ -37,6 +36,19 @@ PAIR_COUNTS_NONE = (1, 6, 26, 102, 387, 1452, 5428, 20268, 75653)
 PAIR_COUNTS_CAB = (1, 6, 26, 102, 386, 1441, 5353, 19854, 73612)
 PAIR_COUNTS_CABB = (1, 6, 26, 102, 386, 1441, 5352, 19842, 73524)
 PAIR_COUNTS_RUN = (1, 6, 26, 102, 386, 1441, 5352, 19842, 73523)
+
+
+def rule_admits(rules: PairRule, run: int, bs: int) -> bool:
+    """Whether a CAB run of `run` Bs passes against a matched segment of `bs` Bs.
+
+    The rules as PairRule's docstring states them: the screen's oracle.
+    """
+    return not (
+        (PairRule.CAB_NEEDS_B in rules and run >= 1 and bs < 1)
+        or (PairRule.CABB_NEEDS_BB in rules and run >= 2 and bs < 2)
+        or (PairRule.RUN_NEEDS_MATCH in rules and bs < run)
+    )
+
 
 RULE_CABB = PairRule.CAB_NEEDS_B | PairRule.CABB_NEEDS_BB
 
@@ -189,8 +201,9 @@ class TestCheckPair:
         assert PairRule.CABB_NEEDS_BB in PairRule.RUN_NEEDS_MATCH
 
     def test_only_the_chain_values_are_rules(self):
-        # No nameless members: _runs_compatible reads only the top bit, so
-        # PairRule(2) would screen as the CABB rule and PairRule(4) as the run rule.
+        # No nameless members: the screen reads only the top bit (through
+        # _NEED_BY_TOP_BIT), so PairRule(2) would screen as the CABB rule and
+        # PairRule(4) as the run rule.
         for v in range(8):
             if v in (0, 1, 3, 7):
                 assert PairRule(v).value == v and PairRule(v).name
@@ -200,7 +213,9 @@ class TestCheckPair:
 
     def test_rule_bits_match_the_flag_definitions(self):
         # Every combination of flags, every run and B count up to 4,
-        # against the rules as PairRule's docstring states them.
+        # against the rules as PairRule's docstring states them.  w's
+        # middle A follows a C, so its run meets z's middle segment; the
+        # other two blocks pass every rule.
         flags = (PairRule.CAB_NEEDS_B, PairRule.CABB_NEEDS_BB, PairRule.RUN_NEEDS_MATCH)
         for chosen in itertools.product((False, True), repeat=3):
             rules = PairRule.NONE
@@ -208,12 +223,9 @@ class TestCheckPair:
                 if on:
                     rules |= flag
             for run, bs in itertools.product(range(5), repeat=2):
-                ok = not (
-                    (PairRule.CAB_NEEDS_B in rules and run >= 1 and bs < 1)
-                    or (PairRule.CABB_NEEDS_BB in rules and run >= 2 and bs < 2)
-                    or (PairRule.RUN_NEEDS_MATCH in rules and bs < run)
-                )
-                assert _runs_compatible([0, run], [5, bs], rules) == ok, (rules, run, bs)
+                w = "ACA" + "B" * run + "A"
+                z = "A" + "B" * 5 + "A" + "B" * bs + "A"
+                assert check_pair(w, z, rules) == rule_admits(rules, run, bs), (rules, run, bs)
 
 
 class TestPairCounting:
@@ -305,7 +317,8 @@ class TestLemmaOnAvoiders:
 
     def test_one_pass_verdicts_match_the_threshold_test(self, monkeypatch):
         # The sweep settles all three rules from the fewest Bs of a segment
-        # below its run; `_runs_compatible` tests each rule on its own.
+        # below its run; the oracle tests each rule on each block as
+        # PairRule's docstring states it.
         rules = {
             "cab": PairRule.CAB_NEEDS_B,
             "cabb": PairRule.CABB_NEEDS_BB,
@@ -315,8 +328,9 @@ class TestLemmaOnAvoiders:
         def expected(n: int, pairs: list[tuple[str, str]]) -> dict:
             found: dict[str, list] = {name: [] for name in rules}
             for p, (w, z) in zip(enumerate_avoiders(n, (1, 3, 2, 4)), pairs):
+                blocks = list(zip(_cab_runs(w), _b_counts(z)))
                 for name, rule in rules.items():
-                    if not _runs_compatible(_cab_runs(w), _b_counts(z), rule):
+                    if not all(rule_admits(rule, run, bs) for run, bs in blocks):
                         found[name].append((str(p), w, z))
             return {name: tuple(v) for name, v in found.items()}
 
