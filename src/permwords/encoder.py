@@ -30,7 +30,7 @@ blues a 213-avoider fixed by its Ds (its right-to-left maxima).
 from __future__ import annotations
 
 from bisect import bisect
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -147,17 +147,59 @@ def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPer
     return marked
 
 
-def _word_pairs(p: Permutation) -> tuple[WordPair, WordPair]:
-    """The plain and the rule4prime pair of p, from one marking."""
-    entries = p.entries
-    letters, turned = _letters(entries)
-    z = [""] * len(entries)
-    for v, letter in zip(entries, letters):
-        z[v - 1] = letter
-    plain = WordPair("".join(letters), "".join(z))
-    for i in turned:
-        letters[i] = z[entries[i] - 1] = "D"
-    return plain, WordPair("".join(letters), "".join(z))
+def _word_pairs_along(
+    walk: Iterable[tuple[int, tuple[int, ...]]],
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], tuple[str, str]]]]:
+    """Yield each permutation of a walk with its plain and its rule4prime pair.
+
+    `walk` yields (k, entries), entries a permutation of 1..n whose first k
+    entries equal the previous result's, as `perm_core._walk` does.  The
+    left-to-right pass of `_letters` reads only the prefix, so the red
+    state before each position (barred, low), its letter and z's letter at
+    its value are kept, and only positions k and up are coloured again.
+    The right-to-left pass runs on copies, per permutation.  A result of
+    another length starts over.  `mark` keeps `_letters`: one result per
+    generator made the lemma sweep a third slower.
+    """
+    letters: list[str] = []  # the A/B/C letter at each position
+    reds = [(0, 1)]  # (barred, low) before each position, and after the last
+    z: list[str] = []  # the letter at each value
+    for k, entries in walk:
+        n = len(entries)
+        if len(z) != n:
+            z = [""] * n
+            reds = [(0, n + 1)]
+            k = 0
+        del letters[k:], reds[k + 1 :]
+        barred, low = reds[k]
+        for x in entries[k:]:
+            if barred >> x & 1:
+                letter = "C"
+            elif x < low:
+                letter = "A"
+                low = x
+            else:
+                letter = "B"
+                barred |= (1 << x) - (2 << low)  # bits low+1 .. x-1
+            letters.append(letter)
+            z[x - 1] = letter
+            reds.append((barred, low))
+        w, zd = letters.copy(), z.copy()
+        turned = []  # the Bs that are right-to-left maxima
+        blue_max = high = 0
+        for i in range(n - 1, -1, -1):
+            x = entries[i]
+            if w[i] == "C" and x > blue_max:
+                w[i] = zd[x - 1] = "D"
+                blue_max = x
+            if x > high:
+                high = x
+                if w[i] == "B":
+                    turned.append(i)
+        plain = "".join(w), "".join(zd)
+        for i in turned:
+            w[i] = zd[entries[i] - 1] = "D"
+        yield entries, (plain, ("".join(w), "".join(zd)))
 
 
 def encode(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> WordPair:

@@ -308,8 +308,8 @@ def _completions_1324(m: int, tops: tuple[int, ...]) -> int:
 _Moves = Callable[..., Iterator[tuple[int, tuple]]]
 
 
-def _walk(n: int, moves: _Moves, root: tuple) -> Iterator[tuple[int, ...]]:
-    """Yield the permutations of 1..n that `moves` allows, in lexicographic order.
+def _walk(n: int, moves: _Moves, root: tuple) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (k, entries) for the permutations of 1..n that `moves` allows, in lexicographic order.
 
     Follows `moves(*state)` depth first from `root`, the empty prefix's
     state, in one frame with a stack of move iterators; rank i is the i-th
@@ -320,13 +320,18 @@ def _walk(n: int, moves: _Moves, root: tuple) -> Iterator[tuple[int, ...]]:
     read without its move, so every state the moves reach must have a
     completion, as every 1324 state does (a decreasing suffix finishes
     it); generic moves go through `_live`.
+
+    k is the index of the first entry that differs from the previous
+    result's (0 for the first): the depth the stack last popped back to.
+    A pushed state has a completion, so no pop comes before the next result.
     """
     unused = list(range(1, n + 1))
     if n == 0:
-        yield ()  # the empty permutation avoids every nonempty pattern
+        yield 0, ()  # the empty permutation avoids every nonempty pattern
         return
     memo: dict[tuple, tuple] = {}  # state -> its moves
     prefix: list[int] = []
+    k, last = 0, n - 2
     # The root's moves, then one level per entry of the prefix.
     stack: list[Iterator] = [iter(moves(*root))]
     while stack:
@@ -336,6 +341,7 @@ def _walk(n: int, moves: _Moves, root: tuple) -> Iterator[tuple[int, ...]]:
             stack.pop()
             if prefix:
                 insort(unused, prefix.pop())
+                k = len(prefix)
             continue
         prefix.append(unused.pop(i))
         if len(unused) > 1:
@@ -346,8 +352,9 @@ def _walk(n: int, moves: _Moves, root: tuple) -> Iterator[tuple[int, ...]]:
             continue
         # The last value takes no level of its own: the state has a
         # completion, so it has a move.  (At n = 1 none is left.)
-        yield (*prefix, *unused)
+        yield k, (*prefix, *unused)
         unused.insert(i, prefix.pop())
+        k = last
 
 
 def _live(moves: _Moves) -> _Moves:
@@ -415,11 +422,29 @@ def dp_state_count(q: Permutation | Sequence[int]) -> int:
     return engine.cache_info().currsize
 
 
-def _trusted(entries: tuple[int, ...]) -> Permutation:
-    """A Permutation of entries its builder knows to be exactly 1..n, unchecked."""
-    p = object.__new__(Permutation)
-    object.__setattr__(p, "entries", entries)
+_new, _put = object.__new__, object.__setattr__  # looked up once, not per avoider
+
+
+def _trusted(result: tuple[int, tuple[int, ...]]) -> Permutation:
+    """The Permutation of a `_walk` result, whose entries are exactly 1..n, unchecked."""
+    p = _new(Permutation)
+    _put(p, "entries", result[1])
     return p
+
+
+def _avoider_walk(
+    n: int, q: Permutation | Sequence[int]
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The `_walk` of the q-avoiders of length n, its arguments checked at the call."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    pattern = _order_type(q)
+    if not pattern:
+        raise ValueError("pattern must be nonempty")
+    if pattern == _PATTERN_1324:
+        return _walk(n, _moves_1324, (n, (n,) * n))
+    _require_generic(n)
+    return _walk(n, _live(partial(_moves_generic, pattern)), (n, ()))
 
 
 def enumerate_avoiders(
@@ -433,19 +458,10 @@ def enumerate_avoiders(
     call and leaving the counting caches alone: `_moves_1324` as they are,
     `_moves_generic` only into states that have a completion (`_live`,
     with a fresh memo per call).  It builds only permutations of 1..n, so
-    the results skip `Permutation`'s check.
+    the results skip `Permutation`'s check.  The walk's index of the first
+    changed entry is dropped here.
 
     >>> [str(p) for p in enumerate_avoiders(3, (1, 3, 2))]
     ['123', '213', '231', '312', '321']
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    pattern = _order_type(q)
-    if not pattern:
-        raise ValueError("pattern must be nonempty")
-    if pattern == _PATTERN_1324:
-        walk = _walk(n, _moves_1324, (n, (n,) * n))
-    else:
-        _require_generic(n)
-        walk = _walk(n, _live(partial(_moves_generic, pattern)), (n, ()))
-    return map(_trusted, walk)
+    return map(_trusted, _avoider_walk(n, q))

@@ -49,8 +49,9 @@ _NOT_LETTERS = str.maketrans("", "", ALPHABET)  # translate() keeps only the res
 # and the whole suite 0.13-0.25 s and 16-17 MB.
 PAIR_CAP = 32
 # Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).  On a
-# 2-core Xeon VM `verify --suite all --n 10` takes 19-21 s and 17.7 MB; n = 11
-# (3.8M more) takes 126 s, 40 s of it in the lemmas, well over a minute.
+# 2-core Xeon VM `verify --suite all --n 10` takes 17.6-17.9 s and 17.3 MB,
+# 8.7-9.4 s of it in `--suite injectivity`; n = 11 (3.8M more) takes 120 s,
+# 74 s of it in injectivity and 46 s in the lemmas, well over a minute.
 LEMMA_CAP = 10
 
 

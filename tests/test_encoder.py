@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from bisect import bisect
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permwords import MarkedPermutation, Permutation, WordPair, decode, encode, mark
-from permwords.encoder import _word_pairs
+from permwords.encoder import _word_pairs_along
+from permwords.perm_core import _avoider_walk
 
 
 def left_to_right_minima(entries: tuple[int, ...]) -> set[int]:
@@ -57,8 +59,6 @@ class TestColor:
                 assert mark(entries, mode="plain").colors == naive_color(entries), entries
 
     def test_matches_naive_sampled_larger(self):
-        import random
-
         rng = random.Random(1324)
         for _ in range(300):
             n = rng.randrange(7, 11)
@@ -216,16 +216,6 @@ class TestKernelsAgainstDefinitions:
                     z = "".join(letters[i] for i in by_value)
                     assert m.word_pair() == WordPair(letters, z), (entries, mode)
 
-    def test_one_marking_gives_both_pairs(self):
-        # The sweep's kernel: one marking, then the rule (4') Bs patched to
-        # Ds in w and z.  It must equal marking once per mode, on every
-        # permutation, avoider or not.
-        for n in range(8):
-            for entries in itertools.permutations(range(1, n + 1)):
-                p = Permutation(entries)
-                both = (mark(p, "plain").word_pair(), mark(p, "rule4prime").word_pair())
-                assert _word_pairs(p) == both, entries
-
     def test_rule4prime_only_turns_b_into_d(self):
         # Every entry rule (4') forces is a B or a D in plain mode, on every
         # permutation, avoider or not.
@@ -235,6 +225,43 @@ class TestKernelsAgainstDefinitions:
                 forced = right_to_left_maxima(entries) - left_to_right_minima(entries)
                 for pos in forced:
                     assert plain[pos - 1] in "BD", (entries, pos)
+
+
+def with_first_change(perms):
+    """(k, p) for each p, k its first index that differs from the previous p (0 for the first)."""
+    prev: tuple[int, ...] = ()
+    for p in perms:
+        k = 0
+        while k < min(len(p), len(prev)) and p[k] == prev[k]:
+            k += 1
+        yield k, p
+        prev = p
+
+
+class TestWordPairsAlong:
+    # The injectivity sweep's kernel: each permutation is coloured again
+    # only from the walk's first changed entry, and its right-to-left pass
+    # gives both modes' pairs.  They must equal marking each permutation
+    # from scratch, once per mode.
+
+    def test_every_avoider_of_the_walk(self, avoiders_by_n, marked_by_mode):
+        for n, avoiders in avoiders_by_n.items():
+            walked = list(_word_pairs_along(_avoider_walk(n, (1, 3, 2, 4))))
+            assert [e for e, _ in walked] == [p.entries for p in avoiders]
+            marks = zip(marked_by_mode["plain"][n], marked_by_mode["rule4prime"][n])
+            for (entries, pairs), (plain, rule4prime) in zip(walked, marks):
+                assert pairs == (plain.word_pair(), rule4prime.word_pair()), entries
+
+    def test_every_permutation_in_any_order(self):
+        # Avoiders or not, in lexicographic order and in a shuffle that
+        # mixes the lengths; the pairs must not depend on the order.
+        perms = [p for n in range(8) for p in itertools.permutations(range(1, n + 1))]
+        shuffled = random.Random(21).sample(perms, len(perms))
+        expected = {p: (mark(p, "plain").word_pair(), mark(p).word_pair()) for p in perms}
+        for order in (perms, shuffled):
+            pairs = list(_word_pairs_along(with_first_change(order)))
+            assert [p for p, _ in pairs] == order
+            assert dict(pairs) == expected
 
 
 class TestWordPair:

@@ -19,6 +19,7 @@ from permwords import (
 from permwords.perm_core import (
     _completions_generic,
     _live,
+    _moves_1324,
     _moves_generic,
     _step,
     _walk,
@@ -194,8 +195,8 @@ class TestGenericCount:
     )
 
     def test_every_short_pattern_matches_brute_force(self):
-        for k in range(1, 5):
-            for pattern in itertools.permutations(range(1, k + 1)):
+        for length in range(1, 5):
+            for pattern in itertools.permutations(range(1, length + 1)):
                 for n in range(7):
                     brute = sum(
                         1
@@ -261,8 +262,8 @@ class TestEnumerate:
     def test_every_short_pattern_lists_the_brute_force_avoiders(self):
         # permutations() yields in lexicographic order, so the filtered list
         # is the walk's expected output, order included.
-        for k in range(1, 5):
-            for pattern in itertools.permutations(range(1, k + 1)):
+        for length in range(1, 5):
+            for pattern in itertools.permutations(range(1, length + 1)):
                 for n in range(7):
                     brute = [
                         p
@@ -284,12 +285,33 @@ class TestEnumerate:
         moves = _live(partial(_moves_generic, (1, 3, 2, 4)))
         for n in range(9):
             walk = [p.entries for p in enumerate_avoiders(n, (1, 3, 2, 4))]
-            assert walk == list(_walk(n, moves, (n, ()))), n
+            assert walk == [e for _, e in _walk(n, moves, (n, ()))], n
         for n in range(7):
             fast = {p.entries for p in enumerate_avoiders(n, (1, 3, 2, 4))}
             generic = {p.entries for p in enumerate_avoiders(n, (4, 2, 3, 1))}
             assert {tuple(reversed(e)) for e in generic} == fast
         assert count_avoiders(8, (4, 2, 3, 1)) == COUNTS_1324[8]
+
+    def test_walk_reports_the_first_changed_entry(self):
+        # Each walk result carries k, the index of its first entry that
+        # differs from the previous result's (0 for the first): the sweep
+        # colours again only from there.  Checked on the 1324 moves and on
+        # the generic moves, through `_live`, of every pattern of length
+        # at most 4.
+        walks = [(n, _walk(n, _moves_1324, (n, (n,) * n))) for n in range(10)]
+        for length in range(1, 5):
+            for pattern in itertools.permutations(range(1, length + 1)):
+                moves = _live(partial(_moves_generic, pattern))
+                walks += [(n, _walk(n, moves, (n, ()))) for n in range(8)]
+        for n, walk in walks:
+            prev = None
+            for k, e in walk:
+                assert len(e) == n
+                if prev is None:
+                    assert k == 0, e
+                else:
+                    assert e[:k] == prev[:k] and e[k] != prev[k], (prev, e, k)
+                prev = e
 
     def test_listed_permutations_equal_checked_ones(self):
         # Both engines build their results without Permutation's check; each
