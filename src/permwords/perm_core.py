@@ -23,6 +23,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 from math import factorial
+from operator import index
 
 __all__ = [
     "Permutation",
@@ -43,7 +44,7 @@ class Permutation:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(self.entries)
+        entries = tuple(map(index, self.entries))  # a float entry raises TypeError
         object.__setattr__(self, "entries", entries)
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):

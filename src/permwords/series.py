@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Union
 
 __all__ = [
@@ -49,7 +50,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(index, self.coeffs))  # a Fraction or float raises TypeError
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
@@ -83,7 +84,7 @@ class IntPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
+        if not isinstance(other, IntPolynomial):
             return IntPolynomial(tuple(c * other for c in self.coeffs))
         if not self.coeffs or not other.coeffs:
             return IntPolynomial(())
@@ -175,9 +176,9 @@ def rf_equal(f: RationalFunction, g: RationalFunction) -> bool:
 
 
 def rf(num: IntPolynomial | int, den: IntPolynomial | int = 1) -> RationalFunction:
-    if isinstance(num, int):
+    if not isinstance(num, IntPolynomial):
         num = _poly(num)
-    if isinstance(den, int):
+    if not isinstance(den, IntPolynomial):
         den = _poly(den)
     return RationalFunction(num, den)
 

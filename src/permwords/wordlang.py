@@ -44,9 +44,9 @@ __all__ = [
 ALPHABET = "ABCD"
 _NOT_LETTERS = str.maketrans("", "", ALPHABET)  # translate() keeps only the rest
 # Largest total length a pair count takes, and the top of `--cap-pairs`.  A
-# count of length n takes about n^3 steps.  On a 2-core Xeon VM `verify gf`'s
-# pair work takes 0.05-0.08 s at n = 32 (0.09-0.14 s at 40, 0.16-0.20 s at 48),
-# and the whole suite 0.13-0.25 s and 16-17 MB.
+# count of length n takes about n^3 steps and gives every shorter length too.
+# On a 2-core Xeon VM `verify gf`'s three pair counts take 6 ms at n = 32 (9 ms
+# at 40, 14 ms at 48), and the whole suite 0.13-0.18 s and 16.5-16.8 MB.
 PAIR_CAP = 32
 # Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).  On a
 # 2-core Xeon VM `verify --suite all --n 10` takes 17.6-17.9 s and 17.3 MB,
@@ -84,36 +84,37 @@ def _require_word(v: str) -> None:
         raise ValueError(f"not a word over ABCD: {v!r} (bad letters {sorted(bad)})")
 
 
-def count_segments_nocb(n: int) -> int:
-    """Number of CB-free segments of length n.
+def count_segments_nocb(n: int) -> list[int]:
+    """Numbers of CB-free segments of lengths 0..n.
 
-    A segment is an A followed by letters from {B, C, D}.  The count sums
+    A segment is an A followed by letters from {B, C, D}.  Each entry sums
     the pair-counting DP's segment layer (`_segment_classes`) over its
-    classes, so comparing it with SEGMENT_SERIES checks that layer.
+    classes, so comparing the row with SEGMENT_SERIES checks that layer.
 
-    >>> [count_segments_nocb(n) for n in range(5)]
+    >>> count_segments_nocb(4)
     [0, 1, 3, 8, 21]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return sum(map(sum, _segment_classes(n, False, 0)[n]))
+    return [sum(map(sum, classes)) for classes in _segment_classes(n, False, 0)]
 
 
-def count_nocb_words(n: int) -> int:
-    """Number of CB-free words of length n over ABCD.
+def count_nocb_words(n: int) -> list[int]:
+    """Numbers of CB-free words over ABCD of lengths 0..n.
 
     Two counts suffice: the words that end in C, which take any letter but
     B next, and the rest, which take any letter.
 
-    >>> [count_nocb_words(n) for n in range(6)]
+    >>> count_nocb_words(5)
     [1, 4, 15, 56, 209, 780]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    ends_c, rest = 0, 1  # the empty word
+    counts = [(0, 1)]  # (words ending in C, the rest): the empty word
     for _ in range(n):
-        ends_c, rest = ends_c + rest, 2 * ends_c + 3 * rest
-    return ends_c + rest
+        ends_c, rest = counts[-1]
+        counts.append((ends_c + rest, 2 * ends_c + 3 * rest))
+    return list(map(sum, counts))
 
 
 def _cab_runs(v: str) -> list[int]:
@@ -206,18 +207,19 @@ def _add_shifted(row: list[int], shift: int, factor: int, col: list[int]) -> Non
         row[i] += factor * v
 
 
-def brute_count_pairs(n: int, rules: PairRule = PairRule.NONE) -> int:
-    """Count pairs (w, z) with |w| + |z| = n passing the base test + rules.
+def brute_count_pairs(n: int, rules: PairRule = PairRule.NONE) -> list[int]:
+    """Numbers of pairs (w, z) passing the base test + rules, by |w| + |z| = 0..n.
 
     Exhaustive, but not word by word: a block DP over segment pairs (see
     the module docstring).  A block of a w segment with run j and a z
     segment fits when the z segment holds at least min(j, need) Bs, or
     any number when the w segment to the left does not end in C.  The
     leftmost w segment has no left neighbour, so its block always fits.
-    The benchmark traces this function by its name, so the name stays.
+    One DP sized for n counts every shorter total too (0 at 0 and 1: a
+    pair word starts with A).  The benchmark traces it by this name.
 
-    >>> brute_count_pairs(3, PairRule.CAB_NEEDS_B)
-    6
+    >>> brute_count_pairs(5, PairRule.CAB_NEEDS_B)
+    [0, 0, 1, 6, 26, 102]
     """
     if not 2 <= n <= PAIR_CAP:
         raise ValueError(f"n must be within 2..{PAIR_CAP}, got {n}")
@@ -246,7 +248,7 @@ def brute_count_pairs(n: int, rules: PairRule = PairRule.NONE) -> int:
             reach[c][k] = sum(
                 sum(map(mul, reach[e][k - 2 :: -1], block[e][c][2 : k + 1])) for e in (0, 1)
             )
-    return reach[0][n]
+    return [0, *reach[0][1:]]
 
 
 @dataclass(frozen=True)

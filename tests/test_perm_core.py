@@ -58,6 +58,15 @@ class TestPermutation:
             with pytest.raises(ValueError):
                 Permutation.parse(bad)
 
+    def test_rejects_non_integer_entries(self):
+        for bad in ((2.0, 1.0, 3.0), (1.5,)):
+            with pytest.raises(TypeError):
+                Permutation(bad)
+        # Patterns and containment read only the order of distinct values.
+        assert contains((2.0, 1.0, 3.0), (2, 1))
+        assert count_avoiders(3, (2.5, 1.5)) == 1
+        assert [p.entries for p in enumerate_avoiders(2, (0.5, 0.25))] == [(1, 2)]
+
     def test_str_roundtrip(self):
         for text in ("3612745", "1", "21"):
             assert str(Permutation.parse(text)) == text

@@ -51,6 +51,7 @@ def rule_admits(rules: PairRule, run: int, bs: int) -> bool:
 
 
 RULE_CABB = PairRule.CAB_NEEDS_B | PairRule.CABB_NEEDS_BB
+RULE_SETS = (PairRule.NONE, PairRule.CAB_NEEDS_B, RULE_CABB, PairRule.RUN_NEEDS_MATCH)
 
 
 def words(length: int) -> Iterator[str]:
@@ -81,30 +82,39 @@ def all_pairs(n: int) -> Iterator[tuple[str, str]]:
 
 class TestCounts:
     def test_segment_counts(self):
-        assert [count_segments_nocb(n) for n in range(1, 8)] == [
-            1, 3, 8, 21, 55, 144, 377,
-        ]
+        assert count_segments_nocb(7) == [0, 1, 3, 8, 21, 55, 144, 377]
 
     def test_segment_counts_by_enumeration(self):
-        for n in range(1, 9):
-            found = sum(
+        found = [0] + [
+            sum(
                 1
                 for tail in itertools.product("BCD", repeat=n - 1)
                 if "CB" not in "A" + "".join(tail)
             )
-            assert count_segments_nocb(n) == found
+            for n in range(1, 9)
+        ]
+        assert count_segments_nocb(8) == found
 
     def test_nocb_word_counts(self):
-        assert [count_nocb_words(n) for n in range(6)] == [1, 4, 15, 56, 209, 780]
+        assert count_nocb_words(5) == [1, 4, 15, 56, 209, 780]
 
     def test_nocb_word_counts_by_enumeration(self):
-        for n in range(7):
-            found = sum(
+        found = [
+            sum(
                 1
                 for letters in itertools.product(ALPHABET, repeat=n)
                 if "CB" not in "".join(letters)
             )
-            assert count_nocb_words(n) == found
+            for n in range(7)
+        ]
+        assert count_nocb_words(6) == found
+
+    def test_rows_start_at_length_0(self):
+        assert count_segments_nocb(0) == [0]  # a segment holds its A
+        assert count_nocb_words(0) == [1]  # the empty word
+        for count in (count_segments_nocb, count_nocb_words):
+            with pytest.raises(ValueError):
+                count(-1)
 
 
 class TestCabRuns:
@@ -230,26 +240,29 @@ class TestCheckPair:
 
 class TestPairCounting:
     def test_frozen_counts(self):
-        for i, n in enumerate(range(2, 11)):
-            assert brute_count_pairs(n) == PAIR_COUNTS_NONE[i]
-            assert brute_count_pairs(n, PairRule.CAB_NEEDS_B) == PAIR_COUNTS_CAB[i]
-            assert brute_count_pairs(n, RULE_CABB) == PAIR_COUNTS_CABB[i]
-            assert (
-                brute_count_pairs(n, PairRule.RUN_NEEDS_MATCH) == PAIR_COUNTS_RUN[i]
-            )
+        assert brute_count_pairs(10) == [0, 0, *PAIR_COUNTS_NONE]
+        assert brute_count_pairs(10, PairRule.CAB_NEEDS_B) == [0, 0, *PAIR_COUNTS_CAB]
+        assert brute_count_pairs(10, RULE_CABB) == [0, 0, *PAIR_COUNTS_CABB]
+        assert brute_count_pairs(10, PairRule.RUN_NEEDS_MATCH) == [0, 0, *PAIR_COUNTS_RUN]
 
     def test_block_dp_matches_literal_loop(self):
-        for n in range(2, 9):
-            for rule in (
-                PairRule.NONE,
-                PairRule.CAB_NEEDS_B,
-                RULE_CABB,
-                PairRule.RUN_NEEDS_MATCH,
-            ):
-                literal = sum(
-                    1 for w, z in all_pairs(n) if check_pair(w, z, rule)
-                )
-                assert brute_count_pairs(n, rule) == literal, (n, rule)
+        for rule in RULE_SETS:
+            literal = [sum(1 for w, z in all_pairs(n) if check_pair(w, z, rule)) for n in range(9)]
+            assert brute_count_pairs(8, rule) == literal, rule
+
+    def test_every_row_is_a_prefix_of_the_longer_rows(self):
+        # A DP sized for n must count every shorter total as a DP sized
+        # for that total does; no pair word is shorter than "A".
+        for rule in RULE_SETS:
+            rows = {n: brute_count_pairs(n, rule) for n in range(2, 17)}
+            for n, row in rows.items():
+                assert len(row) == n + 1 and row[:2] == [0, 0], (rule, n)
+                for m in range(2, n + 1):
+                    assert row[: m + 1] == rows[m], (rule, m, n)
+        for count in (count_segments_nocb, count_nocb_words):
+            rows = [count(n) for n in range(17)]
+            for n, row in enumerate(rows):
+                assert all(row[: m + 1] == rows[m] for m in range(n + 1)), (count, n)
 
     def test_segment_classes_match_segment_by_segment_oracle(self):
         # Independent oracle for the segment DP: the run, the end-in-C bit
@@ -281,12 +294,10 @@ class TestPairCounting:
     def test_rule_free_counts_follow_their_series(self):
         # Need 0 leaves every block free: x^2 / ((1 - 4x + x^2) (1 - x)^2).
         den = IntPolynomial((1, -4, 1)) * IntPolynomial((1, -2, 1))
-        coeffs = expand(rf(IntPolynomial((0, 0, 1)), den), PAIR_CAP)
-        for n in range(2, PAIR_CAP + 1):
-            assert brute_count_pairs(n) == coeffs[n], n
+        assert brute_count_pairs(PAIR_CAP) == expand(rf(IntPolynomial((0, 0, 1)), den), PAIR_CAP)
 
     def test_cap_enforced(self):
-        assert brute_count_pairs(PAIR_CAP, PairRule.RUN_NEEDS_MATCH) > 0
+        assert brute_count_pairs(PAIR_CAP, PairRule.RUN_NEEDS_MATCH)[PAIR_CAP] > 0
         with pytest.raises(ValueError):
             brute_count_pairs(PAIR_CAP + 1)
         with pytest.raises(ValueError):
