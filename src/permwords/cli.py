@@ -27,8 +27,8 @@ __all__ = ["enumerate_avoiders", "main"]
 
 # Caps on count and reproduce --n, from their cost on a 2-core Xeon VM: the
 # 1324 DP takes 1.7 s and 47 MB at n = 18, about doubling per length; the
-# generic DP takes 0.5 s and 18 MB for 4231 up to n = 13, 1.7 s and 21 MB up
-# to n = 14, and 4-9 s and 33-50 MB up to n = 13 for the length-5 to
+# generic DP takes 0.5 s and 19 MB for 4231 up to n = 13, 0.8-0.9 s and 20 MB
+# up to n = 14, and 2.8-6.3 s and 33-50 MB up to n = 13 for the length-5 to
 # length-7 patterns tried.  verify's caps live in wordlang.
 COUNT_CAP_1324 = 18
 COUNT_CAP = 13

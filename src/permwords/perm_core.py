@@ -175,20 +175,26 @@ def _window_masks(q: tuple[int, ...]) -> _WindowMasks:
     return _WindowMasks(q)
 
 
-def _step(
-    q: tuple[int, ...], r: int, state: tuple[int, ...], x: int
-) -> tuple[int, ...] | None:
-    """The state after appending the unused value of rank x among r.
+def _open(t: _WindowMasks, r: int, state: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The state's occurrences with r >= 1 ranks unused, each with its first open slot j.
 
-    Returns None when the new value completes an occurrence of q.  The
-    empty occurrence (j = 0, every window all r ranks) is implicit.
+    The empty occurrence (j = 0, every window all r ranks) comes first; a
+    state leaves it implicit.
     """
-    t = _window_masks(q)
-    k, carry, guards = t.k, t.carry, t.guards
+    return [(occ, ((occ & -occ).bit_length() - 1) // _W) for occ in (t.full[r], *state)]
+
+
+def _advance(
+    t: _WindowMasks, r: int, opened: list[tuple[int, int]], x: int
+) -> tuple[int, ...] | None:
+    """The state after appending rank x among r to the `_open`ed occurrences.
+
+    Returns None when the new value completes an occurrence of q.
+    """
+    k, carry, guards, slots_from = t.k, t.carry, t.guards, t.slots_from
     below, above = t.below[x], t.above[x]
     grown: dict[int, int] = {}  # packed occurrence -> j
-    for occ in (t.full[r], *state):
-        j = ((occ & -occ).bit_length() - 1) // _W
+    for occ, j in opened:
         if occ >> (j * _W + x) & 1:
             # x fills slot j of this occurrence: a q[:j + 1] occurrence.
             if j + 1 == k:
@@ -208,14 +214,35 @@ def _step(
     # slot on, lie inside that occurrence's adds nothing either: every
     # completion of it completes the other.  A cover has matched at least
     # as many slots and, at the same j, has more ranks in its windows, so
-    # it comes first in this order; covering is transitive, so comparing
-    # with the kept occurrences is enough.
-    kept: list[tuple[int, int]] = []
-    order = sorted(grown.items(), key=lambda item: (-item[1], -item[0].bit_count()))
-    for occ, j in order:
-        if k - j < r and all(occ & t.slots_from[i] & ~big for big, i in kept):
-            kept.append((occ, j))
-    return tuple(sorted(occ for occ, _ in kept))
+    # it comes first in this order (two occurrences with the same j and
+    # bit count cover each other only when equal, so ties are safe);
+    # covering is transitive, so comparing with the kept occurrences is
+    # enough.  Each kept occurrence is held as the bits, from its first
+    # open slot on, that lie outside its windows.
+    kept: list[int] = []
+    outside: list[int] = []
+    order = sorted([(-j, -occ.bit_count(), occ, j) for occ, j in grown.items()])
+    for _, _, occ, j in order:
+        if k - j >= r:
+            break  # so does every later one, which has matched no more slots
+        for mask in outside:
+            if not occ & mask:
+                break
+        else:
+            kept.append(occ)
+            outside.append(slots_from[j] & ~occ)
+    return tuple(sorted(kept))
+
+
+def _step(
+    q: tuple[int, ...], r: int, state: tuple[int, ...], x: int
+) -> tuple[int, ...] | None:
+    """The state after appending the unused value of rank x among r.
+
+    Returns None when the new value completes an occurrence of q.
+    """
+    t = _window_masks(q)
+    return _advance(t, r, _open(t, r, state), x)
 
 
 def _moves_generic(
@@ -224,10 +251,14 @@ def _moves_generic(
     """Yield (x, next state) for each rank x a q-avoider may append.
 
     A state is the number r of unused values and the packed occurrences
-    that `_step` keeps.
+    that `_advance` keeps.  The state is opened once for all r ranks.
     """
+    if not r:
+        return
+    t = _window_masks(q)
+    opened = _open(t, r, state)
     for x in range(r):
-        nxt = _step(q, r, state, x)
+        nxt = _advance(t, r, opened, x)
         if nxt is not None:
             yield x, (r - 1, nxt)
 
@@ -393,10 +424,10 @@ def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
     about 112k states and takes 1.7 s and 47 MB on a 2-core Xeon VM.  Any
     other pattern takes the generic DP over the windows of partial
     occurrences (`_moves_generic`), which does not list them either: all
-    n <= 13 of 4231 take 0.5 s (5.9k states, 18 MB), of any pattern of
-    length 4 at most 1.2 s, and of the length-5 to length-7 patterns tried
-    4-9 s and 33-50 MB.  The generic DP takes n <= 31.  A pattern with a
-    repeated value raises ValueError.
+    n <= 13 of 4231 take 0.5 s (5.9k states, 19 MB), of any pattern of
+    length 4 at most 1.3 s, and of the length-5 to length-7 patterns tried
+    2.8-6.3 s and 33-50 MB.  The generic DP takes n <= 31.  A pattern with
+    a repeated value raises ValueError.
 
     >>> count_avoiders(4, (1, 3, 2, 4))
     23

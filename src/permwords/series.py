@@ -69,6 +69,8 @@ class IntPolynomial:
         return self.coeffs[m] if 0 <= m < len(self.coeffs) else 0
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented  # a RationalFunction adds it from the right
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -85,6 +87,8 @@ class IntPolynomial:
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
+            if not isinstance(other, int):
+                return NotImplemented  # a RationalFunction multiplies from the right
             return IntPolynomial(tuple(c * other for c in self.coeffs))
         if not self.coeffs or not other.coeffs:
             return IntPolynomial(())
@@ -130,6 +134,8 @@ class RationalFunction:
     den: IntPolynomial = ONE
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.num, IntPolynomial) and isinstance(self.den, IntPolynomial)):
+            raise TypeError(f"num and den must be IntPolynomials: {self.num!r}, {self.den!r}")
         if self.den.is_zero() or self.den.coefficient(0) == 0:
             raise ValueError("denominator must have a nonzero constant term")
 
@@ -147,11 +153,16 @@ class RationalFunction:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
+    __radd__ = __add__
+
     def __sub__(self, other: "RationalFunction | IntPolynomial | int") -> "RationalFunction":
         other = self._coerce(other)
         return RationalFunction(
             self.num * other.den - other.num * self.den, self.den * other.den
         )
+
+    def __rsub__(self, other: "IntPolynomial | int") -> "RationalFunction":
+        return self._coerce(other) - self
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den)
@@ -159,6 +170,8 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction | IntPolynomial | int") -> "RationalFunction":
         other = self._coerce(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other: "RationalFunction | IntPolynomial | int") -> "RationalFunction":
         other = self._coerce(other)

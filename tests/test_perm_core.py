@@ -241,9 +241,38 @@ class TestGenericCount:
 
     def test_4231_is_a061552_up_to_the_cap(self):
         # 4231 is the reverse of 1324, so its avoiders are counted by the
-        # same sequence.
+        # same sequence.  The state count, from a cold memo, pins the
+        # covering filter: a state kept apart that another covers, or one
+        # merged away, moves it.
+        perm_core._completions_generic.cache_clear()
         for n in range(cli.COUNT_CAP + 1):
             assert count_avoiders(n, (4, 2, 3, 1)) == COUNTS_1324[n]
+        assert dp_state_count((4, 2, 3, 1)) == 5878
+
+    def test_state_counts_of_length_five_patterns(self):
+        for pattern, n_max, states in (((1, 3, 2, 4, 5), 11, 1696), ((2, 4, 1, 3, 5), 10, 1000)):
+            perm_core._completions_generic.cache_clear()
+            for n in range(n_max + 1):
+                count_avoiders(n, pattern)
+            assert dp_state_count(pattern) == states, pattern
+
+    def test_moves_match_the_step_on_every_reached_state(self):
+        # `_moves_generic` opens a state once for all its ranks; `contains`
+        # goes through `_step`, which opens it per rank.  On every state the
+        # moves reach, both must give the same next states.
+        for pattern, n_max in (((4, 2, 3, 1), 9), ((3, 1, 4, 2, 5), 8), ((1, 2, 3), 10)):
+            for n in range(n_max + 1):
+                todo = [(n, ())]
+                reached = set(todo)
+                while todo:
+                    r, state = todo.pop()
+                    moves = list(_moves_generic(pattern, r, state))
+                    steps = [(x, _step(pattern, r, state, x)) for x in range(r)]
+                    assert moves == [(x, (r - 1, s)) for x, s in steps if s is not None]
+                    for _, s in moves:
+                        if s not in reached:
+                            reached.add(s)
+                            todo.append(s)
 
     def test_1234_is_a047889(self):
         for n, expected in enumerate(self.COUNTS_1234):

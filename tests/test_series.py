@@ -113,6 +113,31 @@ class TestRationalFunction:
         with pytest.raises(ValueError):
             RationalFunction(ONE, X)
 
+    def test_rejects_non_polynomial_parts(self):
+        # A Fraction or a tuple as num or den would construct and only fail
+        # later, inside expand.
+        for bad in (
+            lambda: RationalFunction(Fraction(1, 2)),
+            lambda: RationalFunction((1, 2)),
+            lambda: RationalFunction(ONE, (1, 2)),
+        ):
+            with pytest.raises(TypeError, match="IntPolynomials"):
+                bad()
+
+    def test_int_and_polynomial_on_the_left(self):
+        # Each reflected form equals its right-hand form.
+        x = rf(X, ONE - X)
+        p = IntPolynomial((3, -1, 2))
+        assert 2 * x == x * 2
+        assert 1 + x == x + 1
+        assert expand(1 - x, 4) == expand(-x + 1, 4) == [1, -1, -1, -1, -1]
+        assert p * x == x * p
+        assert p + x == x + p
+        assert expand(p - x, 6) == expand(-x + p, 6)
+        for bad in (lambda: Fraction(1, 2) * x, lambda: 1.5 - x, lambda: 0.5 + x):
+            with pytest.raises(TypeError):
+                bad()
+
     def test_equality_cross_multiplies(self):
         half = rf(X, IntPolynomial((2,)) * (ONE - X))
         also_half = rf(X * 2, IntPolynomial((4,)) * (ONE - X))
