@@ -16,8 +16,8 @@ The "rule4prime" mode applies one more rule: every entry that is a
 right-to-left maximum of the whole permutation but not a left-to-right
 minimum of it is forced blue with letter D.  Such an entry is already a
 B or a D, so the rule only turns Bs into Ds.  One marking serves both
-modes: the coloring pass sets A/B/C, and one pass from the right sets the
-Ds and lists the Bs that the rule turns.
+modes: the coloring pass writes A/B/C into both words, and one pass from
+the right sets the Ds and lists the Bs that the rule turns.
 
 A permutation p yields two words: w(p) lists letters by position, z(p)
 lists letters by value (its i-th letter belongs to the entry of value i).
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
 from .perm_core import Permutation, _entries_of
@@ -63,17 +63,21 @@ class MarkedPermutation:
     """A permutation with one letter per entry, from "ABCD".
 
     A and B sit on red entries, C and D on blue ones, so the colors are
-    read off the letters.
+    read off the letters.  z holds the letters by value; `mark` writes it
+    in its coloring pass, and a direct construction derives it.
     """
 
     perm: Permutation
     letters: str
+    z: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.letters) != len(self.perm):
             raise ValueError("letters must match the permutation length")
         if self.letters.strip("ABCD"):
             raise ValueError("letters must be A/B/C/D")
+        by_value = sorted(zip(self.perm.entries, self.letters))
+        object.__setattr__(self, "z", "".join(letter for _, letter in by_value))
 
     @property
     def colors(self) -> str:
@@ -81,37 +85,40 @@ class MarkedPermutation:
         return self.letters.translate(_COLOR_OF)
 
     def word_pair(self) -> WordPair:
-        z = [""] * len(self.letters)
-        for v, letter in zip(self.perm.entries, self.letters):
-            z[v - 1] = letter
-        return WordPair(self.letters, "".join(z))
+        return WordPair(self.letters, self.z)
 
 
-def _letters(entries: tuple[int, ...]) -> tuple[list[str], list[int]]:
-    """The plain letters of a permutation of 1..n, and where rule (4') turns a B into a D.
+def _letters(entries: Sequence[int]) -> tuple[list[str], list[str], list[int]]:
+    """The plain w and z of a permutation of 1..n, and where rule (4') turns a B into a D.
 
-    A red x bars the values between the red minimum before it and itself,
-    as each would be the 2 of a 132 with that minimum and x.  A red below
-    the red minimum, at first n + 1, is an A, any other red a B.
+    The only code that applies the coloring rule.  A red x bars the values
+    between the red minimum before it and itself, as each would be the 2
+    of a 132 with that minimum and x.  A red below the red minimum, at
+    first n + 1, is an A, any other red a B.  Each letter goes into w at
+    its position and into z at its value; the pass from the right sets the
+    blue Ds in both and lists the positions of the Bs that rule (4') turns.
     """
-    out = []
+    w = []
+    z = [""] * len(entries)
     barred = 0
     low = len(entries) + 1  # the red minimum so far
     for x in entries:
         if barred >> x & 1:
-            out.append("C")
+            letter = "C"
         elif x < low:
-            out.append("A")
+            letter = "A"
             low = x
         else:
-            out.append("B")
+            letter = "B"
             barred |= (1 << x) - (2 << low)  # bits low+1 .. x-1
+        w.append(letter)
+        z[x - 1] = letter
     turned = []  # the Bs that are right-to-left maxima
     blue_max = high = 0
     for i in range(len(entries) - 1, -1, -1):
         x = entries[i]
-        if out[i] == "C" and x > blue_max:
-            out[i] = "D"
+        if w[i] == "C" and x > blue_max:
+            w[i] = z[x - 1] = "D"
             blue_max = x
         if x > high:
             high = x
@@ -120,13 +127,15 @@ def _letters(entries: tuple[int, ...]) -> tuple[list[str], list[int]]:
             # it; an entry below all before it is neither barred nor above
             # the red minimum.  A blue right-to-left maximum is already a
             # D, so rule (4') turns only a B into a D.
-            if out[i] == "B":
+            if w[i] == "B":
                 turned.append(i)
-    return out, turned
+    return w, z, turned
 
 
 def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPermutation:
-    """Color and letter every entry of p.
+    """Color and letter every entry of p, keeping z from the same pass.
+
+    In rule4prime mode the Bs that `_letters` lists turn into Ds in w and z.
 
     >>> mark(Permutation.parse("3612745"), mode="plain").letters
     'ABABBCD'
@@ -136,70 +145,32 @@ def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPer
     if mode not in ("plain", "rule4prime"):
         raise ValueError(f"unknown mode: {mode!r}")
     perm = p if isinstance(p, Permutation) else Permutation(_entries_of(p))
-    letters, turned = _letters(perm.entries)
+    w, z, turned = _letters(perm.entries)
     if mode == "rule4prime":
         for i in turned:
-            letters[i] = "D"
+            w[i] = z[perm.entries[i] - 1] = "D"
     # One letter from ABCD per entry, so MarkedPermutation's check is skipped.
     marked = object.__new__(MarkedPermutation)
     object.__setattr__(marked, "perm", perm)
-    object.__setattr__(marked, "letters", "".join(letters))
+    object.__setattr__(marked, "letters", "".join(w))
+    object.__setattr__(marked, "z", "".join(z))
     return marked
 
 
 def _word_pairs_along(
-    walk: Iterable[tuple[int, tuple[int, ...]]],
+    walk: Iterable[tuple[int, ...]],
 ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], tuple[str, str]]]]:
     """Yield each permutation of a walk with its plain and its rule4prime pair.
 
-    `walk` yields (k, entries), entries a permutation of 1..n whose first k
-    entries equal the previous result's, as `perm_core._walk` does.  The
-    left-to-right pass of `_letters` reads only the prefix, so the red
-    state before each position (barred, low), its letter and z's letter at
-    its value are kept, and only positions k and up are coloured again.
-    The right-to-left pass runs on copies, per permutation.  A result of
-    another length starts over.  `mark` keeps `_letters`: one result per
-    generator made the lemma sweep a third slower.
+    One `_letters` pass per permutation gives both: the rule4prime pair is
+    the plain one with the turned Bs written as Ds, in w and in z.
     """
-    letters: list[str] = []  # the A/B/C letter at each position
-    reds = [(0, 1)]  # (barred, low) before each position, and after the last
-    z: list[str] = []  # the letter at each value
-    for k, entries in walk:
-        n = len(entries)
-        if len(z) != n:
-            z = [""] * n
-            reds = [(0, n + 1)]
-            k = 0
-        del letters[k:], reds[k + 1 :]
-        barred, low = reds[k]
-        for x in entries[k:]:
-            if barred >> x & 1:
-                letter = "C"
-            elif x < low:
-                letter = "A"
-                low = x
-            else:
-                letter = "B"
-                barred |= (1 << x) - (2 << low)  # bits low+1 .. x-1
-            letters.append(letter)
-            z[x - 1] = letter
-            reds.append((barred, low))
-        w, zd = letters.copy(), z.copy()
-        turned = []  # the Bs that are right-to-left maxima
-        blue_max = high = 0
-        for i in range(n - 1, -1, -1):
-            x = entries[i]
-            if w[i] == "C" and x > blue_max:
-                w[i] = zd[x - 1] = "D"
-                blue_max = x
-            if x > high:
-                high = x
-                if w[i] == "B":
-                    turned.append(i)
-        plain = "".join(w), "".join(zd)
+    for entries in walk:
+        w, z, turned = _letters(entries)
+        plain = "".join(w), "".join(z)
         for i in turned:
-            w[i] = zd[entries[i] - 1] = "D"
-        yield entries, (plain, ("".join(w), "".join(zd)))
+            w[i] = z[entries[i] - 1] = "D"
+        yield entries, (plain, ("".join(w), "".join(z)))
 
 
 def encode(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> WordPair:

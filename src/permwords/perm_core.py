@@ -340,8 +340,8 @@ def _completions_1324(m: int, tops: tuple[int, ...]) -> int:
 _Moves = Callable[..., Iterator[tuple[int, tuple]]]
 
 
-def _walk(n: int, moves: _Moves, root: tuple) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (k, entries) for the permutations of 1..n that `moves` allows, in lexicographic order.
+def _walk(n: int, moves: _Moves, root: tuple) -> Iterator[tuple[int, ...]]:
+    """Yield the entries of the permutations of 1..n that `moves` allows, in lexicographic order.
 
     Follows `moves(*state)` depth first from `root`, the empty prefix's
     state, in one frame with a stack of move iterators; rank i is the i-th
@@ -352,18 +352,13 @@ def _walk(n: int, moves: _Moves, root: tuple) -> Iterator[tuple[int, tuple[int, 
     read without its move, so every state the moves reach must have a
     completion, as every 1324 state does (a decreasing suffix finishes
     it); generic moves go through `_live`.
-
-    k is the index of the first entry that differs from the previous
-    result's (0 for the first): the depth the stack last popped back to.
-    A pushed state has a completion, so no pop comes before the next result.
     """
     unused = list(range(1, n + 1))
     if n == 0:
-        yield 0, ()  # the empty permutation avoids every nonempty pattern
+        yield ()  # the empty permutation avoids every nonempty pattern
         return
     memo: dict[tuple, tuple] = {}  # state -> its moves
     prefix: list[int] = []
-    k, last = 0, n - 2
     # The root's moves, then one level per entry of the prefix.
     stack: list[Iterator] = [iter(moves(*root))]
     while stack:
@@ -373,7 +368,6 @@ def _walk(n: int, moves: _Moves, root: tuple) -> Iterator[tuple[int, tuple[int, 
             stack.pop()
             if prefix:
                 insort(unused, prefix.pop())
-                k = len(prefix)
             continue
         prefix.append(unused.pop(i))
         if len(unused) > 1:
@@ -384,9 +378,8 @@ def _walk(n: int, moves: _Moves, root: tuple) -> Iterator[tuple[int, tuple[int, 
             continue
         # The last value takes no level of its own: the state has a
         # completion, so it has a move.  (At n = 1 none is left.)
-        yield k, (*prefix, *unused)
+        yield (*prefix, *unused)
         unused.insert(i, prefix.pop())
-        k = last
 
 
 def _live(moves: _Moves) -> _Moves:
@@ -457,16 +450,14 @@ def dp_state_count(q: Permutation | Sequence[int]) -> int:
 _new, _put = object.__new__, object.__setattr__  # looked up once, not per avoider
 
 
-def _trusted(result: tuple[int, tuple[int, ...]]) -> Permutation:
-    """The Permutation of a `_walk` result, whose entries are exactly 1..n, unchecked."""
+def _trusted(entries: tuple[int, ...]) -> Permutation:
+    """The Permutation of entries that are exactly 1..n, as `_walk` yields them, unchecked."""
     p = _new(Permutation)
-    _put(p, "entries", result[1])
+    _put(p, "entries", entries)
     return p
 
 
-def _avoider_walk(
-    n: int, q: Permutation | Sequence[int]
-) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _avoider_walk(n: int, q: Permutation | Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The `_walk` of the q-avoiders of length n, its arguments checked at the call."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -479,9 +470,7 @@ def _avoider_walk(
     return _walk(n, _live(partial(_moves_generic, pattern)), (n, ()))
 
 
-def enumerate_avoiders(
-    n: int, q: Permutation | Sequence[int]
-) -> Iterator[Permutation]:
+def enumerate_avoiders(n: int, q: Permutation | Sequence[int]) -> Iterator[Permutation]:
     """Return the q-avoiding permutations of 1..n, lazily, in lexicographic order.
 
     The arguments are checked at the call, the generic DP's cap of
@@ -490,8 +479,7 @@ def enumerate_avoiders(
     call and leaving the counting caches alone: `_moves_1324` as they are,
     `_moves_generic` only into states that have a completion (`_live`,
     with a fresh memo per call).  It builds only permutations of 1..n, so
-    the results skip `Permutation`'s check.  The walk's index of the first
-    changed entry is dropped here.
+    the results skip `Permutation`'s check.
 
     >>> [str(p) for p in enumerate_avoiders(3, (1, 3, 2))]
     ['123', '213', '231', '312', '321']

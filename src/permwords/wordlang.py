@@ -49,9 +49,10 @@ _NOT_LETTERS = str.maketrans("", "", ALPHABET)  # translate() keeps only the res
 # at 40, 14 ms at 48), and the whole suite 0.13-0.18 s and 16.5-16.8 MB.
 PAIR_CAP = 32
 # Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).  On a
-# 2-core Xeon VM `verify --suite all --n 10` takes 17.6-17.9 s and 17.3 MB,
-# 8.7-9.4 s of it in `--suite injectivity`; n = 11 (3.8M more) takes 120 s,
-# 74 s of it in injectivity and 46 s in the lemmas, well over a minute.
+# 2-core Xeon VM, fresh processes of `verify --suite all --n 10` take 15-21 s
+# (median 17.4 s) and 17.3 MB, of `--suite injectivity --n 10` 8.5-17 s
+# (median 10.9 s), as the host's speed moves.  n = 11 (3.8M more) took 120 s
+# when last timed (74 s injectivity, 46 s lemmas), well over a minute.
 LEMMA_CAP = 10
 
 
@@ -133,9 +134,14 @@ def _b_counts(z: str) -> list[int]:
     return [seg.count("B") for seg in z.split("A")[1:]]
 
 
-# Bs a CAB run asks of its matched segment, by the rules' highest bit: a
-# run of k Bs needs min(k, need) of them.
-_NEED_BY_TOP_BIT = (0, 1, 2, inf)
+_NEED_BY_TOP_BIT = (0, 1, 2, inf)  # need, by the rules' highest bit
+
+
+def _need(rules: PairRule) -> float:
+    """The need of `rules`: a CAB run of k Bs asks min(k, need) Bs of its matched segment."""
+    if not isinstance(rules, PairRule):
+        raise TypeError(f"rules must be a PairRule, got {rules!r}")
+    return _NEED_BY_TOP_BIT[rules._value_.bit_length()]  # not .value, a slower property
 
 
 def _shortfall(w: str, z: str) -> float:
@@ -150,7 +156,7 @@ def check_pair(w: str, z: str, rules: PairRule = PairRule.NONE) -> bool:
     """Screen the pair (w, z) by the base test plus the given rules.
 
     The rules hold when `_shortfall(w, z)`, the fewest Bs of a segment
-    below its run, is at least the rule set's need (`_NEED_BY_TOP_BIT`).
+    below its run, is at least the rule set's need (`_need`).
 
     >>> check_pair("A", "A")
     True
@@ -159,6 +165,7 @@ def check_pair(w: str, z: str, rules: PairRule = PairRule.NONE) -> bool:
     >>> check_pair("ACAB", "ABA", PairRule.CAB_NEEDS_B)
     True
     """
+    need = _need(rules)
     _require_word(w)
     _require_word(z)
     if not w.startswith("A") or not z.startswith("A"):
@@ -167,7 +174,7 @@ def check_pair(w: str, z: str, rules: PairRule = PairRule.NONE) -> bool:
         return False
     if "CB" in w or "CB" in z:
         return False
-    return not rules or _shortfall(w, z) >= _NEED_BY_TOP_BIT[rules.value.bit_length()]
+    return not need or _shortfall(w, z) >= need
 
 
 # --- pair counting ---------------------------------------------------------
@@ -223,7 +230,7 @@ def brute_count_pairs(n: int, rules: PairRule = PairRule.NONE) -> list[int]:
     """
     if not 2 <= n <= PAIR_CAP:
         raise ValueError(f"n must be within 2..{PAIR_CAP}, got {n}")
-    need = _NEED_BY_TOP_BIT[rules.value.bit_length()]
+    need = _need(rules)
     # at_least[k][b]: z segments of length b with at least k Bs, k capped at
     # need, as suffix sums over the B count; the last row, past every key, is 0
     by_bs = [list(map(add, *classes)) for classes in _segment_classes(n - 1, True, need)]
@@ -292,7 +299,7 @@ def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
     if not 0 <= n <= LEMMA_CAP:
         raise ValueError(f"n must be within 0..{LEMMA_CAP}; larger sweeps take too long")
     violations: dict[str, list[tuple[str, str, str]]] = {r: [] for r in _LEMMA_RULES}
-    needs = {r: _NEED_BY_TOP_BIT[rules.value.bit_length()] for r, rules in _LEMMA_RULES.items()}
+    needs = {r: _need(rules) for r, rules in _LEMMA_RULES.items()}
     checked = 0
     # The empty permutation encodes to empty words, outside the pair
     # language (every member starts with A); nothing to check at n = 0.

@@ -115,6 +115,7 @@ class TestMark:
                     checked = MarkedPermutation(p, m.letters)
                     assert type(m) is MarkedPermutation and type(m.letters) is str
                     assert m == checked and hash(m) == hash(checked), (p, mode)
+                    assert m.word_pair() == checked.word_pair(), (p, mode)
 
     def test_identity_permutation(self):
         m = mark(tuple(range(1, 6)), mode="plain")
@@ -227,22 +228,10 @@ class TestKernelsAgainstDefinitions:
                     assert plain[pos - 1] in "BD", (entries, pos)
 
 
-def with_first_change(perms):
-    """(k, p) for each p, k its first index that differs from the previous p (0 for the first)."""
-    prev: tuple[int, ...] = ()
-    for p in perms:
-        k = 0
-        while k < min(len(p), len(prev)) and p[k] == prev[k]:
-            k += 1
-        yield k, p
-        prev = p
-
-
 class TestWordPairsAlong:
-    # The injectivity sweep's kernel: each permutation is coloured again
-    # only from the walk's first changed entry, and its right-to-left pass
-    # gives both modes' pairs.  They must equal marking each permutation
-    # from scratch, once per mode.
+    # The injectivity sweep's kernel: one `_letters` pass per permutation
+    # gives both modes' pairs.  They must equal marking each permutation,
+    # once per mode.
 
     def test_every_avoider_of_the_walk(self, avoiders_by_n, marked_by_mode):
         for n, avoiders in avoiders_by_n.items():
@@ -259,7 +248,7 @@ class TestWordPairsAlong:
         shuffled = random.Random(21).sample(perms, len(perms))
         expected = {p: (mark(p, "plain").word_pair(), mark(p).word_pair()) for p in perms}
         for order in (perms, shuffled):
-            pairs = list(_word_pairs_along(with_first_change(order)))
+            pairs = list(_word_pairs_along(order))
             assert [p for p, _ in pairs] == order
             assert dict(pairs) == expected
 

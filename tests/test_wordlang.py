@@ -205,6 +205,15 @@ class TestCheckPair:
                 with pytest.raises(ValueError, match="not a word over ABCD"):
                     check_pair(w, z, rules)
 
+    def test_rules_must_be_a_pair_rule(self):
+        # An int or a name is not a rule set, not even 0, which a truth
+        # test alone would take for no rule.
+        for rules in (0, 1, "cab"):
+            with pytest.raises(TypeError, match="must be a PairRule"):
+                check_pair("A", "A", rules)
+            with pytest.raises(TypeError, match="must be a PairRule"):
+                brute_count_pairs(5, rules)
+
     def test_rule_sets_form_a_chain(self):
         assert PairRule.CAB_NEEDS_B | PairRule.CABB_NEEDS_BB == PairRule.CABB_NEEDS_BB
         assert PairRule.CAB_NEEDS_B in PairRule.RUN_NEEDS_MATCH
