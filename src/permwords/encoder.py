@@ -72,6 +72,8 @@ class MarkedPermutation:
     z: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.perm, Permutation):
+            raise TypeError(f"perm must be a Permutation, got {self.perm!r}")
         if len(self.letters) != len(self.perm):
             raise ValueError("letters must match the permutation length")
         if self.letters.strip("ABCD"):
@@ -214,8 +216,14 @@ def decode(w: str, z: str) -> tuple[int, ...]:
             d_vals.append(v)
         else:
             break  # a letter outside ABCD: the counts fall short of len(z)
-    counts = (len(a_vals), len(b_vals), len(c_vals), len(d_vals))
-    if len(w) != len(z) or sum(counts) != len(z) or counts != tuple(map(w.count, "ABCD")):
+    if (
+        len(w) != len(z)
+        or len(a_vals) != w.count("A")
+        or len(b_vals) != w.count("B")
+        or len(c_vals) != w.count("C")
+        or len(d_vals) != w.count("D")
+        or len(a_vals) + len(b_vals) + len(c_vals) + len(d_vals) != len(z)
+    ):
         raise ValueError(f"w={w!r} and z={z!r} are not anagrams over ABCD")
     out = [0] * len(w)
     low = len(w) + 1
@@ -232,9 +240,10 @@ def decode(w: str, z: str) -> tuple[int, ...]:
     if c_vals:
         high = 0
         for i in range(len(w) - 1, -1, -1):
-            if w[i] == "D":
+            letter = w[i]
+            if letter == "D":
                 high = out[i]
-            elif w[i] == "C":
+            elif letter == "C":
                 j = bisect(c_vals, high) - 1
                 if j < 0:
                     raise ValueError(f"no C value below {high} left for position {i + 1}")

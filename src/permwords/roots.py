@@ -6,7 +6,10 @@ in |x| < R.  The count is with multiplicity, so that zero is simple.
 The non-real zeros of a real polynomial come in conjugate pairs, so it
 is real; a sign change of p below R makes it positive, and exact
 bisection pins its digits.  Every other zero has modulus at least R,
-which proves the modulus gap.  Each sign comes from one evaluator,
+which proves the modulus gap.  Outward counts then widen R:
+`certified_smallest_root` takes all OUTWARD_STEPS, to report a wide gap,
+and `growth_bound`, which returns no gap, stops at the first R that
+proves one.  Each sign comes from one evaluator,
 `_scaled_value`: b^n * p(a/b) by Horner's rule in ints, so the
 bisection runs on int numerators over one shared denominator.
 Durand-Kerner iteration (`all_roots`) stays only as the tests' float
@@ -257,18 +260,14 @@ def _gcd_degree(a: IntPolynomial, b: IntPolynomial) -> int:
     return len(p) - 1
 
 
-def certified_smallest_root(p: IntPolynomial) -> RootEstimate:
-    """Certify and refine p's smallest-modulus root, in exact arithmetic.
+def _certificate(p: IntPolynomial, widen_fully: bool) -> RootEstimate:
+    """The certificate of p's smallest root, for both public entry points.
 
-    Demands: a radius r, found by bisection, where the Schur-Cohn count
-    shows exactly one zero in |x| < r; and a sign change of p on [lo, r],
-    where lo is the search's last radius with count 0.  The count is
-    taken with multiplicity, so that zero is simple: a repeated smallest
-    zero leaves no radius with a count of one, while repeated zeros
-    further out do no harm.  Outward steps then push r toward the next
-    modulus, and the gap r / (upper end of the root's interval) is
-    proven.  Any shortfall raises CertificateError with the data that
-    failed.
+    Search for a radius r holding exactly one zero, check the sign change
+    on [lo, r], refine, then take outward steps.  They only grow r, so the
+    proven gap r / (upper end of the root's interval) only grows: with
+    widen_fully they take all OUTWARD_STEPS, and without it they stop at
+    the first r whose gap is proven, which refuses exactly the same p.
     """
     lo, hi, r = Fraction(0), None, Fraction(1)
     for _ in range(SEARCH_STEPS):
@@ -291,16 +290,35 @@ def certified_smallest_root(p: IntPolynomial) -> RootEstimate:
             f"the one zero of {p.coeffs} in |x| < {float(r):.6g} is not positive"
         )
     est = refine_real_root(p, lo, r)
+    top, needed = est.value + est.radius, 1 + 10 * est.radius / est.value
     for _ in range(OUTWARD_STEPS):
+        if not widen_fully and float(r) / top > needed:
+            break
         step = 2 * r if hi is None else (r + hi) / 2
         if _zeros_inside(_scaled(p, step)) == 1:
             r = step
         else:
             hi = step
-    gap = float(r) / (est.value + est.radius)
-    if not gap > 1 + 10 * est.radius / est.value:
+    gap = float(r) / top
+    if not gap > needed:
         raise CertificateError(f"proven modulus gap {gap:.6g} is too small")
     return RootEstimate(est.value, est.radius, modulus_gap=gap)
+
+
+def certified_smallest_root(p: IntPolynomial) -> RootEstimate:
+    """Certify and refine p's smallest-modulus root, in exact arithmetic.
+
+    Demands: a radius r, found by bisection, where the Schur-Cohn count
+    shows exactly one zero in |x| < r; and a sign change of p on [lo, r],
+    where lo is the search's last radius with count 0.  The count is
+    taken with multiplicity, so that zero is simple: a repeated smallest
+    zero leaves no radius with a count of one, while repeated zeros
+    further out do no harm.  All OUTWARD_STEPS then push r toward the
+    next modulus, and the gap r / (upper end of the root's interval) is
+    proven.  Any shortfall raises CertificateError with the data that
+    failed.
+    """
+    return _certificate(p, widen_fully=True)
 
 
 def growth_bound(f: RationalFunction) -> float:
@@ -310,9 +328,12 @@ def growth_bound(f: RationalFunction) -> float:
     coefficient growth per unit of n is the square of the reciprocal
     root, which is what this returns.  The numerator must share no factor
     with the denominator, so that no pole cancels, and the root must pass
-    the full uniqueness certificate.
+    the uniqueness certificate.  The gap itself is not returned, so the
+    outward steps stop at the first radius that proves it (for every
+    bound row, the search radius already does); the same f are refused
+    as with all OUTWARD_STEPS.
     """
     if _gcd_degree(f.num, f.den) != 0:
         raise CertificateError(f"gcd of {f.num.coeffs} and {f.den.coeffs} is not constant")
-    est = certified_smallest_root(f.den)
+    est = _certificate(f.den, widen_fully=False)
     return (1.0 / est.value) ** 2

@@ -105,6 +105,11 @@ class TestMark:
             with pytest.raises(ValueError, match=message):
                 MarkedPermutation(perm, letters)
 
+    def test_perm_must_be_a_permutation(self):
+        for perm in ((2, 1), [2, 1], "21"):
+            with pytest.raises(TypeError, match="must be a Permutation"):
+                MarkedPermutation(perm, "AA")
+
     def test_marks_equal_checked_ones(self, avoiders_by_n):
         # mark builds its result without MarkedPermutation's check; it must
         # still equal, and hash like, the checked construction.
@@ -354,6 +359,12 @@ class TestInjectivity:
             for letters in itertools.product("ABCD", repeat=length)
         ]
         pairs = [(w, z) for w in small for z in small if len(w) == len(z)]
+        foreign = [  # X stands in for any letter outside ABCD
+            "".join(letters)
+            for length in range(4)
+            for letters in itertools.product("ABCDX", repeat=length)
+        ]
+        pairs += [(w, z) for w in foreign for z in foreign if len(w) == len(z)]
         pairs += UNDECODABLE
         pairs += [
             m.word_pair()

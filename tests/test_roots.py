@@ -20,6 +20,7 @@ from permwords import (
     refine_real_root,
     roots,
 )
+from permwords import cli
 from permwords.cli import BOUND_ROWS
 from permwords.roots import (
     PRECISION,
@@ -316,6 +317,75 @@ class TestSquareFree:
         assert 3.7 < est.modulus_gap <= 2 + math.sqrt(3)
         bound = growth_bound(rf(IntPolynomial((0, 0, 1)), den))
         assert abs(bound - 13.928203230) <= 1e-9
+
+
+@pytest.fixture
+def schur_counts(monkeypatch) -> list[int]:
+    """Counts every Schur-Cohn count the certificates take."""
+    counted = [0]
+    count = roots._zeros_inside
+
+    def counting(c: list[int]) -> int | None:
+        counted[0] += 1
+        return count(c)
+
+    monkeypatch.setattr(roots, "_zeros_inside", counting)
+    return counted
+
+
+class TestOutwardSteps:
+    """growth_bound widens only until the gap is proven, certified_smallest_root fully."""
+
+    def test_bound_rows_take_few_counts(self, schur_counts):
+        for name, gf, _, _ in BOUND_ROWS:
+            schur_counts[0] = 0
+            growth_bound(gf)
+            assert schur_counts[0] <= 4, name
+
+    def test_counts_per_command(self, schur_counts, capsys):
+        # reproduce: the four bound rows; verify --suite roots: those and
+        # the fully widened alpha-digits certificate.
+        for argv, expected in ((["reproduce"], 12), (["verify", "--suite", "roots"], 26)):
+            schur_counts[0] = 0
+            assert cli.main(argv) == 0
+            assert schur_counts[0] == expected, argv
+        capsys.readouterr()
+
+    def test_same_root_interval_as_the_full_certificate(self, monkeypatch):
+        found = []
+        certify = roots._certificate
+
+        def recording(p: IntPolynomial, widen_fully: bool) -> RootEstimate:
+            found.append(certify(p, widen_fully))
+            return found[-1]
+
+        monkeypatch.setattr(roots, "_certificate", recording)
+        for name, gf, _, _ in BOUND_ROWS:
+            bound = growth_bound(gf)
+            (est,) = found
+            full = certified_smallest_root(gf.den)
+            found.clear()
+            assert (est.value, est.radius) == (full.value, full.radius), name
+            assert bound == (1.0 / full.value) ** 2
+            assert est.modulus_gap <= full.modulus_gap
+
+    def test_root_just_below_the_search_radius(self, schur_counts):
+        # (m x - (m - 1))(x - 3): the root lies 1/m below the first search
+        # radius 1, which holds it alone.  At m = 2^44 (5.7e-14) the root's
+        # interval reaches past 1; at m = 5e12 (2e-13) it stays below 1,
+        # but by less than the proof needs.  Either way that radius proves
+        # no gap, and growth_bound takes exactly one outward step after
+        # the one search count.
+        for m in (2**44, 5 * 10**12):
+            p = IntPolynomial((1 - m, m)) * linear(3)
+            schur_counts[0] = 0
+            bound = growth_bound(rf(1, p))
+            assert schur_counts[0] == 2, m
+            assert abs(bound - 1) < 1e-12, m
+        schur_counts[0] = 0
+        est = certified_smallest_root(IntPolynomial((-(2**44 - 1), 2**44)) * linear(3))
+        assert schur_counts[0] == 1 + roots.OUTWARD_STEPS
+        assert f"{est.modulus_gap:.3f}" == "2.998"
 
 
 def fraction_gcd_degree(a: IntPolynomial, b: IntPolynomial) -> int:
