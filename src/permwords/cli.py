@@ -26,9 +26,9 @@ from .wordlang import PairRule, brute_count_pairs, verify_lemma_on_avoiders
 __all__ = ["enumerate_avoiders", "main"]
 
 # Caps on count and reproduce --n, from their cost on a 2-core Xeon VM: the
-# 1324 DP takes 1.7 s and 47 MB at n = 18, about doubling per length; the
-# generic DP takes 0.5 s and 19 MB for 4231 up to n = 13, 0.8-0.9 s and 20 MB
-# up to n = 14, and 2.8-6.3 s and 33-50 MB up to n = 13 for the length-5 to
+# 1324 DP takes 1.7 s and 45 MB at n = 18, about doubling per length; the
+# generic DP takes 0.5 s and 18 MB for 4231 up to n = 13, 0.8-0.9 s and 19 MB
+# up to n = 14, and 2.8-6.3 s and 32-49 MB up to n = 13 for the length-5 to
 # length-7 patterns tried.  verify's caps live in wordlang.
 COUNT_CAP_1324 = 18
 COUNT_CAP = 13

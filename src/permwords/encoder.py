@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
 from .perm_core import Permutation, _entries_of
+from .series import _Frozen
 
 __all__ = [
     "MarkedPermutation",
@@ -58,27 +58,32 @@ class WordPair(NamedTuple):
 _COLOR_OF = str.maketrans("ABCD", "RRBB")  # letter -> color, for str.translate
 
 
-@dataclass(frozen=True)
-class MarkedPermutation:
+class MarkedPermutation(_Frozen):
     """A permutation with one letter per entry, from "ABCD".
 
     A and B sit on red entries, C and D on blue ones, so the colors are
     read off the letters.  z holds the letters by value; `mark` writes it
-    in its coloring pass, and a direct construction derives it.
+    in its coloring pass, and a direct construction derives it.  As it
+    follows from the rest, equality, hash and repr leave it out.
     """
 
+    __match_args__ = ("perm", "letters")
     perm: Permutation
     letters: str
-    z: str = field(init=False, repr=False, compare=False)
+    z: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.perm, Permutation):
-            raise TypeError(f"perm must be a Permutation, got {self.perm!r}")
-        if len(self.letters) != len(self.perm):
+    def __init__(self, perm: Permutation, letters: str) -> None:
+        if not isinstance(perm, Permutation):
+            raise TypeError(f"perm must be a Permutation, got {perm!r}")
+        if not isinstance(letters, str):
+            raise TypeError(f"letters must be a str, got {letters!r}")
+        if len(letters) != len(perm):
             raise ValueError("letters must match the permutation length")
-        if self.letters.strip("ABCD"):
+        if letters.strip("ABCD"):
             raise ValueError("letters must be A/B/C/D")
-        by_value = sorted(zip(self.perm.entries, self.letters))
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "letters", letters)
+        by_value = sorted(zip(perm.entries, letters))
         object.__setattr__(self, "z", "".join(letter for _, letter in by_value))
 
     @property

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cache, partial
 from math import factorial
 from operator import index
+
+from .series import _Frozen
 
 __all__ = [
     "Permutation",
@@ -33,18 +34,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Frozen):
     """A permutation of 1..n stored as a tuple of entries.
 
     >>> Permutation.parse("3612745").entries
     (3, 6, 1, 2, 7, 4, 5)
     """
 
+    __match_args__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(map(index, self.entries))  # a float entry raises TypeError
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        entries = tuple(map(index, entries))  # a float entry raises TypeError
         object.__setattr__(self, "entries", entries)
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
@@ -414,12 +415,12 @@ def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
 
     For 1324 a memoised dynamic program over rank-compressed prefix states
     (`_moves_1324`) counts without listing the avoiders: n = 18 visits
-    about 112k states and takes 1.7 s and 47 MB on a 2-core Xeon VM.  Any
+    about 112k states and takes 1.7 s and 45 MB on a 2-core Xeon VM.  Any
     other pattern takes the generic DP over the windows of partial
     occurrences (`_moves_generic`), which does not list them either: all
-    n <= 13 of 4231 take 0.5 s (5.9k states, 19 MB), of any pattern of
+    n <= 13 of 4231 take 0.5 s (5.9k states, 18 MB), of any pattern of
     length 4 at most 1.3 s, and of the length-5 to length-7 patterns tried
-    2.8-6.3 s and 33-50 MB.  The generic DP takes n <= 31.  A pattern with
+    2.8-6.3 s and 32-49 MB.  The generic DP takes n <= 31.  A pattern with
     a repeated value raises ValueError.
 
     >>> count_avoiders(4, (1, 3, 2, 4))

@@ -19,11 +19,10 @@ oracle.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .series import IntPolynomial, RationalFunction
+from .series import IntPolynomial, RationalFunction, _Frozen
 
 __all__ = [
     "CertificateError",
@@ -52,25 +51,31 @@ class CertificateError(RuntimeError):
     """The smallest root could not be certified unique and real."""
 
 
-@dataclass(frozen=True)
-class RootEstimate:
+class RootEstimate(_Frozen):
     """A real root pinned to [value - radius, value + radius].
 
     A modulus_gap, when given, is proven: every other root has modulus at
-    least modulus_gap * (value + radius).  It must exceed
-    1 + 10*radius/value, so that the root is the unique smallest.
+    least modulus_gap * (value + radius).  It needs a positive value and
+    must exceed 1 + 10*radius/value, so that the root is the unique
+    smallest.
     """
 
+    __match_args__ = ("value", "radius", "modulus_gap")
     value: float
     radius: float
-    modulus_gap: float | None = None
+    modulus_gap: float | None
 
-    def __post_init__(self) -> None:
-        if not self.radius > 0:
+    def __init__(self, value: float, radius: float, modulus_gap: float | None = None) -> None:
+        if not radius > 0:
             raise ValueError("radius must be positive")
-        gap = self.modulus_gap
-        if gap is not None and not gap > 1 + 10 * self.radius / self.value:
-            raise ValueError("modulus gap does not prove a unique smallest root")
+        if modulus_gap is not None:
+            if not value > 0:
+                raise ValueError("a modulus gap needs a positive value")
+            if not modulus_gap > 1 + 10 * radius / value:
+                raise ValueError("modulus gap does not prove a unique smallest root")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "modulus_gap", modulus_gap)
 
     @property
     def unique_smallest(self) -> bool:

@@ -21,10 +21,9 @@ of `brute_count_pairs` and the CLI's gf suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
-from typing import Union
+from typing import NamedTuple, Union
 
 __all__ = [
     "IntPolynomial",
@@ -43,14 +42,50 @@ __all__ = [
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class _Frozen:
+    """Base of the package's immutable value classes, as a frozen dataclass would be.
+
+    A subclass names its fields in __match_args__ and stores them in its
+    own __init__ with object.__setattr__.  Assignment and deletion raise
+    AttributeError; equality, hash and repr run over the named fields,
+    equality only between instances of one class.  Instances keep their
+    __dict__, so pickle and copy.deepcopy restore them without calling
+    __setattr__.  It spares every command the import of `dataclasses`
+    (with `inspect`, `ast` and the rest that it loads), and it lives here
+    because series imports nothing from the package.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class IntPolynomial(_Frozen):
     """Integer polynomial as ascending coefficients, no trailing zeros."""
 
-    coeffs: tuple[int, ...] = ()
+    __match_args__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(map(index, self.coeffs))  # a Fraction or float raises TypeError
+    def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
+        coeffs = tuple(map(index, coeffs))  # a Fraction or float raises TypeError
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
@@ -120,8 +155,7 @@ X = _poly(0, 1)
 ONE = _poly(1)
 
 
-@dataclass(frozen=True, eq=False)
-class RationalFunction:
+class RationalFunction(_Frozen):
     """num/den kept unreduced; den must have a nonzero constant term.
 
     The constant-term demand is what makes every RationalFunction a
@@ -130,14 +164,17 @@ class RationalFunction:
     unhashable.
     """
 
+    __match_args__ = ("num", "den")
     num: IntPolynomial
-    den: IntPolynomial = ONE
+    den: IntPolynomial
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.num, IntPolynomial) and isinstance(self.den, IntPolynomial)):
-            raise TypeError(f"num and den must be IntPolynomials: {self.num!r}, {self.den!r}")
-        if self.den.is_zero() or self.den.coefficient(0) == 0:
+    def __init__(self, num: IntPolynomial, den: IntPolynomial = ONE) -> None:
+        if not (isinstance(num, IntPolynomial) and isinstance(den, IntPolynomial)):
+            raise TypeError(f"num and den must be IntPolynomials: {num!r}, {den!r}")
+        if den.is_zero() or den.coefficient(0) == 0:
             raise ValueError("denominator must have a nonzero constant term")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def _coerce(other: "RationalFunction | IntPolynomial | int") -> "RationalFunction":
@@ -177,7 +214,7 @@ class RationalFunction:
         other = self._coerce(other)
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other: object) -> bool:  # defined here, so __hash__ is None
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return rf_equal(self, other)
@@ -229,8 +266,7 @@ PAIR_SERIES_CAB_RUN = rf(
 )
 
 
-@dataclass(frozen=True)
-class EquationCheck:
+class EquationCheck(NamedTuple):
     """Result of replaying one defining equation against its closed form.
 
     An "exact" check holds when its residual numerator vanishes.  An

@@ -24,9 +24,9 @@ the one to the left, must end in C.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import inf
 from operator import add, mul
+from typing import NamedTuple
 
 from .encoder import encode
 from .perm_core import enumerate_avoiders
@@ -46,11 +46,11 @@ _NOT_LETTERS = str.maketrans("", "", ALPHABET)  # translate() keeps only the res
 # Largest total length a pair count takes, and the top of `--cap-pairs`.  A
 # count of length n takes about n^3 steps and gives every shorter length too.
 # On a 2-core Xeon VM `verify gf`'s three pair counts take 6 ms at n = 32 (9 ms
-# at 40, 14 ms at 48), and the whole suite 0.13-0.18 s and 16.5-16.8 MB.
+# at 40, 14 ms at 48), and the whole suite 0.13-0.18 s and 15.6-15.8 MB.
 PAIR_CAP = 32
 # Largest avoider length a lemma sweep takes (n = 10: 592k avoiders).  On a
 # 2-core Xeon VM, fresh processes of `verify --suite all --n 10` take 15-21 s
-# (median 17.4 s) and 17.3 MB, of `--suite injectivity --n 10` 8.5-17 s
+# (median 17.4 s) and 16.0 MB, of `--suite injectivity --n 10` 8.5-17 s
 # (median 10.9 s), as the host's speed moves.  n = 11 (3.8M more) took 120 s
 # when last timed (74 s injectivity, 46 s lemmas), well over a minute.
 LEMMA_CAP = 10
@@ -258,8 +258,7 @@ def brute_count_pairs(n: int, rules: PairRule = PairRule.NONE) -> list[int]:
     return [0, *reach[0][1:]]
 
 
-@dataclass(frozen=True)
-class AvoiderPairReport:
+class AvoiderPairReport(NamedTuple):
     """Outcome of screening the encoded pairs of all 1324-avoiders.
 
     violations maps each rule set ("cab", "cabb", "cab_k") to the

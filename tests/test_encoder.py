@@ -110,6 +110,11 @@ class TestMark:
             with pytest.raises(TypeError, match="must be a Permutation"):
                 MarkedPermutation(perm, "AA")
 
+    def test_letters_must_be_a_str(self):
+        for letters in (["A"], ("A",), b"A"):
+            with pytest.raises(TypeError, match="must be a str"):
+                MarkedPermutation(Permutation((1,)), letters)
+
     def test_marks_equal_checked_ones(self, avoiders_by_n):
         # mark builds its result without MarkedPermutation's check; it must
         # still equal, and hash like, the checked construction.

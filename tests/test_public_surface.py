@@ -1,12 +1,26 @@
 from __future__ import annotations
 
 import ast
+import copy
 import importlib
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import permwords
+from permwords import (
+    SEGMENT_SERIES,
+    IntPolynomial,
+    MarkedPermutation,
+    Permutation,
+    RationalFunction,
+    RootEstimate,
+    mark,
+)
 
 # The package root's names, pinned so that any growth of the public
 # surface shows up as a diff here.
@@ -125,3 +139,114 @@ def test_every_private_name_is_used_by_the_package():
             if not used:
                 unused.append(f"{module}:{name}")
     assert unused == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    # `dataclasses` and `inspect`, which it imports, took 7-12 ms and 1 MB
+    # of every command's start-up; nothing in the package needs them.
+    src = Path(permwords.__file__).resolve().parent.parent
+    code = (
+        "import sys, permwords.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+P = Permutation((3, 6, 1, 2, 7, 4, 5))
+
+# (one value, an equal one built another way, its repr, its field names)
+VALUES = {
+    "Permutation": (
+        P,
+        Permutation.parse("3612745"),
+        "Permutation(entries=(3, 6, 1, 2, 7, 4, 5))",
+        ("entries",),
+    ),
+    "MarkedPermutation": (
+        MarkedPermutation(P, "ABABDCD"),
+        mark(P),
+        "MarkedPermutation(perm=Permutation(entries=(3, 6, 1, 2, 7, 4, 5)), letters='ABABDCD')",
+        ("perm", "letters", "z"),
+    ),
+    "IntPolynomial": (
+        IntPolynomial((1, -3, 1)),
+        IntPolynomial((1, -3, 1, 0, 0)),
+        "IntPolynomial(coeffs=(1, -3, 1))",
+        ("coeffs",),
+    ),
+    "RationalFunction": (
+        SEGMENT_SERIES,
+        RationalFunction(IntPolynomial((0, 2)), IntPolynomial((2, -6, 2))),
+        "RationalFunction(num=IntPolynomial(coeffs=(0, 1)), den=IntPolynomial(coeffs=(1, -3, 1)))",
+        ("num", "den"),
+    ),
+    "RootEstimate": (
+        RootEstimate(0.5, 1e-3, modulus_gap=2.0),
+        RootEstimate(value=0.5, radius=1e-3, modulus_gap=2.0),
+        "RootEstimate(value=0.5, radius=0.001, modulus_gap=2.0)",
+        ("value", "radius", "modulus_gap"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+class TestValueClasses:
+    """The value classes behave as the frozen dataclasses they replaced."""
+
+    def test_equality_and_hash(self, name):
+        value, same, _, _ = VALUES[name]
+        assert value == same and not value != same
+        if name == "RationalFunction":
+            with pytest.raises(TypeError):
+                hash(value)  # cross-multiplying equality has no hash to agree with
+        else:
+            assert hash(value) == hash(same)
+
+    def test_equality_holds_only_within_a_class(self, name):
+        value, _, _, fields = VALUES[name]
+        for other_name, (other, _, _, _) in VALUES.items():
+            if other_name != name:
+                assert value != other and not value == other
+        # Not even a tuple of its own fields equals it.
+        assert value != tuple(getattr(value, f) for f in fields)
+
+    def test_repr(self, name):
+        value, _, text, _ = VALUES[name]
+        assert repr(value) == text
+
+    def test_fields_are_frozen(self, name):
+        value, _, _, fields = VALUES[name]
+        for field in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        assert repr(value) == VALUES[name][2]
+
+    @pytest.mark.parametrize(
+        "clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_copies_round_trip(self, name, clone):
+        value, _, _, fields = VALUES[name]
+        twin = clone(value)
+        assert type(twin) is type(value) and twin == value
+        assert [getattr(twin, f) for f in fields] == [getattr(value, f) for f in fields]
+        with pytest.raises(AttributeError):
+            setattr(twin, fields[0], None)
+
+
+def test_equal_fields_in_two_classes_differ():
+    assert Permutation((1, 2)) != IntPolynomial((1, 2))
+    assert Permutation((1, 2)).__eq__(IntPolynomial((1, 2))) is NotImplemented
+
+
+def test_marked_equality_ignores_z():
+    m = mark(P)
+    twin = copy.copy(m)
+    object.__setattr__(twin, "z", "DDDDDDD")
+    assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+    assert twin != mark(P, mode="plain")

@@ -433,6 +433,13 @@ class TestRootEstimate:
         with pytest.raises(ValueError):
             RootEstimate(0.5, 1e-12, modulus_gap=1.0)
 
+    def test_gap_needs_a_positive_value(self):
+        # 0.0 divided by zero in the gap test; a negative value passed it.
+        for value in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="positive value"):
+                RootEstimate(value, 1e-3, modulus_gap=2.0)
+        assert RootEstimate(-0.5, 1e-3).value == -0.5  # no gap, no demand
+
     def test_accepts_strong_gap(self):
         est = RootEstimate(0.5, 1e-12, modulus_gap=1.5)
         assert est.unique_smallest
