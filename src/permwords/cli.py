@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from typing import Any
 
 from . import series, wordlang
@@ -26,7 +27,7 @@ from .wordlang import PairRule, brute_count_pairs, verify_lemma_on_avoiders
 __all__ = ["enumerate_avoiders", "main"]
 
 # Caps on count and reproduce --n, from their cost on a 2-core Xeon VM: the
-# 1324 DP takes 1.7 s and 45 MB at n = 18, about doubling per length; the
+# 1324 DP takes 0.8 s and 43 MB at n = 18, about doubling per length; the
 # generic DP takes 0.5 s and 18 MB for 4231 up to n = 13, 0.8-0.9 s and 19 MB
 # up to n = 14, and 2.8-6.3 s and 32-49 MB up to n = 13 for the length-5 to
 # length-7 patterns tried.  verify's caps live in wordlang.
@@ -371,7 +372,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return _emit(report, args.format, args.out)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process, on the first call."""
     parser = argparse.ArgumentParser(
         prog="permwords",
         description="1324-avoidance word encodings, exact series, growth bounds",
@@ -411,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_args(args)
     except ValueError as exc:

@@ -294,48 +294,61 @@ def _order_type(q: Permutation | Sequence[int]) -> tuple[int, ...]:
     return Permutation(_flatten(_entries_of(q))).entries
 
 
+def _root_1324(n: int) -> tuple[int, tuple[int, ...]]:
+    """The 1324 DP's state of the empty prefix of a permutation of 1..n."""
+    return n, (0,) * n
+
+
 def _moves_1324(
-    m: int, tops: tuple[int, ...]
+    m: int, d: tuple[int, ...]
 ) -> Iterator[tuple[int, tuple[int, tuple[int, ...]]]]:
     """Yield (i, next state) for each rank i a 1324-avoider may append.
 
-    The state (m, tops) of a 1324-avoiding prefix is rank-compressed: only
+    The state (m, d) of a 1324-avoiding prefix is rank-compressed: only
     the order of the r unused values matters, so each is named by its rank
     among them.  `m` is the number of unused values below the prefix
     minimum.  For the unused value w of rank j, let h(w) be the least used
     value above w that follows some used value below w: appending w closes
-    a 132 occurrence topped by h(w).  `tops[j]` is the number of unused
-    values below h(w), or r when there is no such value.
+    a 132 occurrence topped by h(w).  `d[j]` is w's distance below the top,
+    the number of unused values above h(w), or 0 when there is no such
+    value.
 
     Every 132 occurrence in a prefix that reaches this state is topped
     above all unused values (otherwise no completion avoids 1324), so
-    appending w is allowed exactly when `tops[j] == r`.  The state does not
+    appending w is allowed exactly when `d[j] == 0`.  The state does not
     depend on n.
+
+    A move copies d in three slices.  No used value lies below the ranks
+    below m, so they read 0.  Appending a rank i < m makes it the new
+    minimum: m becomes i, and d loses one of its m leading zeros.
+    Appending i >= m keeps m and the d of the ranks above i, whose h lies
+    above the new value v.  Only d[m:i] changes: v becomes a candidate for
+    their h, so each entry x there becomes max(x - 1, r - 1 - i), the
+    unused values above the old h less v, or those above v.
     """
-    r = len(tops)
-    for i in range(r):
-        if tops[i] != r:
+    r = len(d)
+    if m:
+        rest = d[: m - 1] + d[m:]
+        for i in range(m):
+            yield i, (i, rest)
+    head = d[:m]
+    for i in range(m, r):
+        if d[i]:
             continue
-        # Rank i leaves, so every top above it drops by one (tops of ranks
-        # below m are r, tops of ranks above i exceed i); the new last
-        # value becomes h(w) for each unused w between the prefix minimum
-        # and itself.
-        nxt = [t - 1 for t in tops]
-        del nxt[i]
-        for j in range(m, i):
-            nxt[j] = min(tops[j], i)
-        yield i, (min(m, i), tuple(nxt))
+        floor = r - 1 - i
+        mid = tuple([x - 1 if x > floor else floor for x in d[m:i]])
+        yield i, (m, head + mid + d[i + 1 :])
 
 
 @cache
-def _completions_1324(m: int, tops: tuple[int, ...]) -> int:
+def _completions_1324(m: int, d: tuple[int, ...]) -> int:
     """Number of ways to finish a 1324-avoiding prefix from its state.
 
     The cache serves every length, as the state does not depend on n.
     """
-    if len(tops) <= 1:
+    if len(d) <= 1:
         return 1
-    return sum(_completions_1324(*s) for _, s in _moves_1324(m, tops))
+    return sum(_completions_1324(*s) for _, s in _moves_1324(m, d))
 
 
 _Moves = Callable[..., Iterator[tuple[int, tuple]]]
@@ -415,13 +428,13 @@ def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
 
     For 1324 a memoised dynamic program over rank-compressed prefix states
     (`_moves_1324`) counts without listing the avoiders: n = 18 visits
-    about 112k states and takes 1.7 s and 45 MB on a 2-core Xeon VM.  Any
-    other pattern takes the generic DP over the windows of partial
-    occurrences (`_moves_generic`), which does not list them either: all
-    n <= 13 of 4231 take 0.5 s (5.9k states, 18 MB), of any pattern of
-    length 4 at most 1.3 s, and of the length-5 to length-7 patterns tried
-    2.8-6.3 s and 32-49 MB.  The generic DP takes n <= 31.  A pattern with
-    a repeated value raises ValueError.
+    about 112k states and takes 0.8 s and 43 MB in a fresh process on a
+    2-core Xeon VM.  Any other pattern takes the generic DP over the
+    windows of partial occurrences (`_moves_generic`), which does not list
+    them either: all n <= 13 of 4231 take 0.5 s (5.9k states, 18 MB), of
+    any pattern of length 4 at most 1.3 s, and of the length-5 to length-7
+    patterns tried 2.8-6.3 s and 32-49 MB.  The generic DP takes n <= 31.
+    A pattern with a repeated value raises ValueError.
 
     >>> count_avoiders(4, (1, 3, 2, 4))
     23
@@ -436,7 +449,7 @@ def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
     if len(pattern) > n:
         return factorial(n)
     if pattern == _PATTERN_1324:
-        return _completions_1324(n, (n,) * n)
+        return _completions_1324(*_root_1324(n))
     _require_generic(n)
     return _completions_generic(pattern, n, ())
 
@@ -466,7 +479,7 @@ def _avoider_walk(n: int, q: Permutation | Sequence[int]) -> Iterator[tuple[int,
     if not pattern:
         raise ValueError("pattern must be nonempty")
     if pattern == _PATTERN_1324:
-        return _walk(n, _moves_1324, (n, (n,) * n))
+        return _walk(n, _moves_1324, _root_1324(n))
     _require_generic(n)
     return _walk(n, _live(partial(_moves_generic, pattern)), (n, ()))
 

@@ -160,6 +160,7 @@ class TestCount:
             (["count", "--n", "8"], 105),
             (["count", "--pattern", "4231", "--n", "8"], 159),
             (["reproduce", "--n", "9"], 195),
+            (["count", "--n", "16"], 25409),
         ):
             perm_core._completions_1324.cache_clear()
             perm_core._completions_generic.cache_clear()

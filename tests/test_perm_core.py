@@ -421,7 +421,7 @@ class TestEnumerate:
         perm_core._completions_1324.cache_clear()
         try:
             for n in range(13):
-                root = (n, (n,) * n)
+                root = perm_core._root_1324(n)
                 todo, reached = [root], {root}
                 while todo:
                     for _, s in perm_core._moves_1324(*todo.pop()):

@@ -155,6 +155,31 @@ def test_cli_import_loads_no_dataclasses():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_builds_its_parser_once_per_process():
+    # Each build took 0.6-1.3 ms, and the benchmark's worker runs two
+    # commands per process.  Importing builds none, so start-up stays as it is.
+    src = Path(permwords.__file__).resolve().parent.parent
+    code = (
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import permwords.cli\n"
+        "print(built.count('permwords'))\n"
+        "jobs = ('count --n 3', 'verify --suite roots')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [permwords.cli.main(job.split()) for job in jobs]\n"
+        "print(codes, built.count('permwords'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["0", "[0, 0] 1", ""]
+
+
 P = Permutation((3, 6, 1, 2, 7, 4, 5))
 
 # (one value, an equal one built another way, its repr, its field names)
