@@ -139,36 +139,28 @@ class _WindowMasks:
 
     def __init__(self, q: tuple[int, ...]):
         k = self.k = len(q)
-
-        def every_slot(field: int) -> int:
-            return sum(field << (s * _W) for s in range(k))
-
+        every_slot = sum(1 << (s * _W) for s in range(k))  # f * every_slot: f in each field
         # full[r]: the empty occurrence, every window all r ranks.
-        self.full = [every_slot((1 << r) - 1) for r in range(_W)]
+        self.full = [((1 << r) - 1) * every_slot for r in range(_W)]
         # below[x] / above[x]: the ranks below / above x in every field.
-        self.below = [every_slot((1 << x) - 1) for x in range(_W - 1)]
-        self.above = [every_slot(_RANKS ^ ((2 << x) - 1)) for x in range(_W - 1)]
+        self.below = [((1 << x) - 1) * every_slot for x in range(_W - 1)]
+        self.above = [(_RANKS ^ ((2 << x) - 1)) * every_slot for x in range(_W - 1)]
         # Adding `carry` sets a field's guard bit exactly when the field is
         # nonzero; guards[j] holds the guard bits of slots j and up.
-        self.carry = every_slot(_RANKS)
-        self.guards = [
-            sum(1 << (s * _W + _W - 1) for s in range(j, k)) for j in range(k + 1)
-        ]
+        self.carry = _RANKS * every_slot
         # slots_from[j]: every bit of slots j and up.
         self.slots_from = [(1 << (k * _W)) - (1 << (j * _W)) for j in range(k + 1)]
+        guard = (1 << (_W - 1)) * every_slot
+        self.guards = [guard & slots for slots in self.slots_from]
         # fill[j][x]: when rank x fills slot j, the windows left to the later
         # slots: above x for those above q[j] in q, below x for the others.
-        self.fill = [
-            [
-                sum(
-                    (self.above[x] if q[j] < q[s] else self.below[x])
-                    & (_RANKS << (s * _W))
-                    for s in range(j + 1, k)
-                )
-                for x in range(_W - 1)
-            ]
-            for j in range(k)
-        ]
+        self.fill = []
+        for j in range(k):
+            up = sum(_RANKS << (s * _W) for s in range(j + 1, k) if q[s] > q[j])
+            down = sum(_RANKS << (s * _W) for s in range(j + 1, k) if q[s] < q[j])
+            self.fill.append(
+                [above & up | below & down for above, below in zip(self.above, self.below)]
+            )
 
 
 @cache

@@ -4,12 +4,15 @@ One exact route certifies the root that matters.  A Schur-Cohn count in
 integer arithmetic finds a rational radius R with exactly one zero of p
 in |x| < R.  The count is with multiplicity, so that zero is simple.
 The non-real zeros of a real polynomial come in conjugate pairs, so it
-is real; a sign change of p below R makes it positive, and exact
-bisection pins its digits.  Every other zero has modulus at least R,
-which proves the modulus gap.  Outward counts then widen R:
-`certified_smallest_root` takes all OUTWARD_STEPS, to report a wide gap,
-and `growth_bound`, which returns no gap, stops at the first R that
-proves one.  Each sign comes from one evaluator,
+is real, and a sign change of p below R makes it positive.  Exact
+bisection of that bracket to PRECISION must end in the one cell of its
+last level that holds the zero; a float Newton iterate names the cell,
+and two exact signs prove it, or else the bisection runs.  Floats only
+propose: the interval is the bisection's either way.  Every other zero
+has modulus at least R, which proves the modulus gap.  Outward counts
+then widen R: `certified_smallest_root` takes all OUTWARD_STEPS, to
+report a wide gap, and `growth_bound`, which returns no gap, stops at
+the first R that proves one.  Each sign comes from one evaluator,
 `_scaled_value`: b^n * p(a/b) by Horner's rule in ints, so the
 bisection runs on int numerators over one shared denominator.
 Durand-Kerner iteration (`all_roots`) stays only as the tests' float
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, isfinite, lcm
 
 from .series import IntPolynomial, RationalFunction, _Frozen
 
@@ -41,6 +44,8 @@ PRECISION = 1e-13
 # Steps of the search for a radius holding one zero, then outward steps.
 SEARCH_STEPS = 64
 OUTWARD_STEPS = 12
+# Float Newton steps that may name the bisection's last cell.
+NEWTON_STEPS = 40
 
 
 class RootConvergenceError(RuntimeError):
@@ -215,22 +220,50 @@ def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RootEstima
     signs are refused.
     """
     lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    den = lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-    f_lo, f_hi = _scaled_value(p, a, den), _scaled_value(p, b, den)
+    a, b, den, f_lo, f_hi = _bracket(p, lo, hi)
     if f_lo * f_hi > 0:
         raise ValueError(f"no sign change on [{lo}, {hi}]: p has one sign at both")
     if f_lo * f_hi == 0:
         a = b = a if f_lo == 0 else b
-    width = Fraction(2 * PRECISION)
-    while (b - a) * width.denominator > width.numerator * den:
+    return _bisect(p, a, b, den, f_lo)
+
+
+def _bracket(p: IntPolynomial, lo: Fraction, hi: Fraction) -> tuple[int, int, int, int, int]:
+    """lo < hi as int numerators a < b over one denominator den, and p there.
+
+    p at lo and hi comes as den^n * p (n = deg p), which has p's sign:
+    the returned tuple is a, b, den, den^n * p(lo), den^n * p(hi).
+    """
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    den = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    return a, b, den, _scaled_value(p, a, den), _scaled_value(p, b, den)
+
+
+def _halvings(width: int, den: int) -> int:
+    """The bisection steps that take width / den to 2 * PRECISION or below.
+
+    Each step doubles den and keeps the int width, so the number is fixed
+    by the bracket: the least k with width / (den * 2^k) <= 2 * PRECISION.
+    """
+    w = Fraction(2 * PRECISION)
+    ratio = -(-width * w.denominator // (w.numerator * den))  # ceil
+    return max(ratio - 1, 0).bit_length()
+
+
+def _bisect(p: IntPolynomial, a: int, b: int, den: int, f_lo: int) -> RootEstimate:
+    """Bisect [a/den, b/den], where p has f_lo's sign at a/den and changes sign.
+
+    A zero at a midpoint ends the bisection there.
+    """
+    for _ in range(_halvings(b - a, den)):
         mid, den = a + b, 2 * den  # the midpoint, over the doubled denominator
         f_mid = _scaled_value(p, mid, den)
         if f_mid == 0:
             a = b = mid
-        elif (f_mid > 0) == (f_lo > 0):
+            break
+        if (f_mid > 0) == (f_lo > 0):
             a, b = mid, 2 * b
         else:
             a, b = 2 * a, mid
@@ -239,6 +272,68 @@ def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RootEstima
     # half-width plus a float-rounding ulp so the interval stays honest
     radius = (b - a) / (2 * den) + abs(value) * 2.3e-16 + 5e-324
     return RootEstimate(value=value, radius=radius)
+
+
+def _proven_cell(p: IntPolynomial, a: int, b: int, den: int, f_lo: int) -> tuple[int, int, int]:
+    """The cell where `_bisect` of a bracket holding one zero ends, or the bracket.
+
+    [a/den, b/den] must hold exactly one zero of p, with p of f_lo's sign
+    at a/den.  After k = `_halvings` steps the width b - a is unchanged
+    and den is den * 2^k, so bisection ends in the cell i from a * 2^k +
+    i * (b - a) to that plus b - a: the one that holds the zero, unless
+    a midpoint hits it first.  A float Newton iterate from the midpoint
+    names i; cell i, or i + 1 or i - 1 when both its edges share a sign,
+    is returned only when exact signs prove it: f_lo's at its left edge
+    and the other at its right, both nonzero.  Then the zero is inside
+    and on no midpoint, and bisection ends there too.  Any float failure
+    or unproven cell returns the bracket unchanged, to be bisected.
+    """
+    d, k = b - a, _halvings(b - a, den)
+    lo, hi = a / den, b / den
+    x = _newton(p, lo, hi) if lo < hi else None
+    if x is None:
+        return a, b, den
+    i = min(floor((x - lo) / (hi - lo) * 2.0**k), 2**k - 1)
+    base, den_k = a << k, den << k
+
+    def side(j: int) -> int:
+        """1 or -1 when p at edge j has f_lo's sign or the other, 0 at a zero."""
+        v = _scaled_value(p, base + j * d, den_k)
+        return 0 if v == 0 else 1 if (v > 0) == (f_lo > 0) else -1
+
+    left, right = side(i), side(i + 1)
+    if left == right == 1 and i + 2 <= 2**k:
+        i, left, right = i + 1, right, side(i + 2)
+    elif left == right == -1 and i >= 1:
+        i, left, right = i - 1, side(i - 1), left
+    if (left, right) != (1, -1):
+        return a, b, den
+    return base + i * d, base + (i + 1) * d, den_k
+
+
+def _newton(p: IntPolynomial, lo: float, hi: float) -> float | None:
+    """p's zero in [lo, hi] by float Newton steps from the midpoint, or None.
+
+    None when a coefficient overflows a float, a value or derivative is
+    not finite, the derivative is zero, or the last iterate is not in
+    [lo, hi].  It proves nothing; `_proven_cell` checks it exactly.
+    """
+    try:
+        coeffs = [float(c) for c in reversed(p.coeffs)]
+    except OverflowError:
+        return None
+    x = (lo + hi) / 2
+    for _ in range(NEWTON_STEPS):
+        value = slope = 0.0
+        for c in coeffs:
+            value, slope = value * x + c, slope * x + value
+        if not (isfinite(value) and isfinite(slope)) or slope == 0:
+            return None
+        step = value / slope
+        x -= step
+        if abs(step) <= PRECISION / 16:  # well inside a cell of width >= PRECISION
+            break
+    return x if lo <= x <= hi else None
 
 
 def is_square_free(p: IntPolynomial) -> bool:
@@ -269,7 +364,8 @@ def _certificate(p: IntPolynomial, widen_fully: bool) -> RootEstimate:
     """The certificate of p's smallest root, for both public entry points.
 
     Search for a radius r holding exactly one zero, check the sign change
-    on [lo, r], refine, then take outward steps.  They only grow r, so the
+    on [lo, r], refine (`_proven_cell` spares the bisection its steps when
+    two exact signs prove where it ends), then take outward steps.  They only grow r, so the
     proven gap r / (upper end of the root's interval) only grows: with
     widen_fully they take all OUTWARD_STEPS, and without it they stop at
     the first r whose gap is proven, which refuses exactly the same p.
@@ -289,12 +385,12 @@ def _certificate(p: IntPolynomial, widen_fully: bool) -> RootEstimate:
             f"no radius holds exactly one zero of {p.coeffs} after {SEARCH_STEPS} "
             f"steps (none in |x| < {float(lo):.6g})"
         )
-    f_lo, f_r = (_scaled_value(p, x.numerator, x.denominator) for x in (lo, r))
+    a, b, den, f_lo, f_r = _bracket(p, lo, r)
     if f_lo * f_r >= 0:
         raise CertificateError(
             f"the one zero of {p.coeffs} in |x| < {float(r):.6g} is not positive"
         )
-    est = refine_real_root(p, lo, r)
+    est = _bisect(p, *_proven_cell(p, a, b, den, f_lo), f_lo)
     top, needed = est.value + est.radius, 1 + 10 * est.radius / est.value
     for _ in range(OUTWARD_STEPS):
         if not widen_fully and float(r) / top > needed:

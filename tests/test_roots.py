@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from collections.abc import Callable
 from fractions import Fraction
 
 import pytest
@@ -386,6 +387,120 @@ class TestOutwardSteps:
         est = certified_smallest_root(IntPolynomial((-(2**44 - 1), 2**44)) * linear(3))
         assert schur_counts[0] == 1 + roots.OUTWARD_STEPS
         assert f"{est.modulus_gap:.3f}" == "2.998"
+
+
+@pytest.fixture
+def exact_values(monkeypatch) -> list[int]:
+    """Counts every exact evaluation (`_scaled_value`) the certificates make."""
+    counted = [0]
+    value = roots._scaled_value
+
+    def counting(p: IntPolynomial, a: int, b: int) -> int:
+        counted[0] += 1
+        return value(p, a, b)
+
+    monkeypatch.setattr(roots, "_scaled_value", counting)
+    return counted
+
+
+def certify_and_bisect(
+    p: IntPolynomial, newton: Callable[[IntPolynomial, float, float], float | None] | None = None
+) -> tuple[RootEstimate, RootEstimate, bool]:
+    """p's certificate, `refine_real_root` on its bracket, and whether a cell was proven.
+
+    `newton`, when given, stands in for the float guess.
+    """
+    seen = []
+    prove = roots._proven_cell
+
+    def recording(p: IntPolynomial, a: int, b: int, den: int, f_lo: int):
+        seen.append(((a, b, den), prove(p, a, b, den, f_lo)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_proven_cell", recording)
+        if newton is not None:
+            mp.setattr(roots, "_newton", newton)
+        est = certified_smallest_root(p)
+    ((bracket, cell),) = seen
+    a, b, den = bracket
+    return est, refine_real_root(p, Fraction(a, den), Fraction(b, den)), cell != bracket
+
+
+def same_interval(x: RootEstimate, y: RootEstimate) -> bool:
+    return (x.value, x.radius) == (y.value, y.radius)
+
+
+class TestProvenCell:
+    """The certificate's root interval is the bisection's, whether or not a cell is proven."""
+
+    def test_bound_rows(self):
+        for name, gf, _, _ in BOUND_ROWS:
+            est, bisected, proven = certify_and_bisect(gf.den)
+            assert same_interval(est, bisected), name
+            assert proven, name
+
+    def test_seeded_random_polynomials(self):
+        # Each has a zero a/b in (0, 1), so that most are accepted.
+        rng = random.Random(28)
+        proven = unproven = 0
+        for _ in range(200):
+            b = rng.randint(2, 40)
+            p = IntPolynomial((-rng.randint(1, b - 1), b)) * random_polynomial(rng)
+            try:
+                est, bisected, cell = certify_and_bisect(p)
+            except CertificateError:
+                continue
+            assert same_interval(est, bisected), p
+            # here only a zero on the bisection grid, hit exactly, goes unproven
+            assert cell or est.radius < 1e-15, p
+            proven += cell
+            unproven += not cell
+        assert proven > 100 and unproven > 5
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            # root 1/4 is a bisection midpoint of [0, 1]: an edge's sign is 0
+            IntPolynomial((-1, 4)),
+            # float(10^309) overflows
+            IntPolynomial((-(10**309), 3 * 10**309)),
+            # (9x - 1)(4x - 5)^2: Newton from 1/2 runs to 5/4, outside [0, 1]
+            IntPolynomial((-1, 9)) * IntPolynomial((-5, 4)) * IntPolynomial((-5, 4)),
+        ],
+        ids=["zero-on-the-grid", "coefficient-overflows", "newton-leaves-the-bracket"],
+    )
+    def test_falls_back_to_bisection(self, p):
+        est, bisected, proven = certify_and_bisect(p)
+        assert same_interval(est, bisected)
+        assert not proven
+
+    @pytest.mark.parametrize("cells, proven", [(-1, True), (1, True), (-3, False), (3, False)])
+    def test_a_guess_cells_off(self, cells, proven):
+        # A guess one cell off is proven in the neighbouring cell; one
+        # further off is not, and the bisection runs.
+        newton = roots._newton
+
+        def off(p: IntPolynomial, lo: float, hi: float) -> float:
+            width = Fraction(hi) - Fraction(lo)  # the bound rows' brackets are dyadic
+            k = roots._halvings(width.numerator, width.denominator)
+            return newton(p, lo, hi) + cells * (hi - lo) / 2**k
+
+        for name, gf, _, _ in BOUND_ROWS:
+            est, bisected, cell = certify_and_bisect(gf.den, newton=off)
+            assert same_interval(est, bisected), name
+            assert cell == proven, name
+
+    def test_exact_evaluations_per_command(self, exact_values, capsys):
+        # reproduce: the four bound rows; verify --suite roots: those and
+        # the alpha-digits certificate.  Each takes four: the bracket's two
+        # signs and the proven cell's two.  Bisecting every bracket took
+        # 180 and 226.
+        for argv, expected in ((["reproduce"], 16), (["verify", "--suite", "roots"], 20)):
+            exact_values[0] = 0
+            assert cli.main(argv) == 0
+            assert exact_values[0] == expected, argv
+        capsys.readouterr()
 
 
 def fraction_gcd_degree(a: IntPolynomial, b: IntPolynomial) -> int:
