@@ -270,10 +270,11 @@ def _suite_gf(report: dict[str, Any]) -> None:
             ok,
             f"series coefficients equal exhaustive pair counts for 2<=n<={cap}",
         )
-    seg_ok = expand(series.SEGMENT_SERIES, 12) == wordlang.count_segments_nocb(12)
-    _add_check(report, "segment-series-vs-count", seg_ok, "coefficients 0..12 agree")
-    nocb_ok = expand(series.NOCB_WORD_SERIES, 12) == wordlang.count_nocb_words(12)
-    _add_check(report, "nocb-series-vs-count", nocb_ok, "coefficients 0..12 agree")
+    length = 12  # the word-count rows' length, whatever --cap-pairs says
+    seg_ok = expand(series.SEGMENT_SERIES, length) == wordlang.count_segments_nocb(length)
+    _add_check(report, "segment-series-vs-count", seg_ok, f"coefficients 0..{length} agree")
+    nocb_ok = expand(series.NOCB_WORD_SERIES, length) == wordlang.count_nocb_words(length)
+    _add_check(report, "nocb-series-vs-count", nocb_ok, f"coefficients 0..{length} agree")
 
 
 def _check_bounds(report: dict[str, Any]) -> list[dict[str, Any]]:

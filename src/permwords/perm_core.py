@@ -163,9 +163,7 @@ class _WindowMasks:
             )
 
 
-@cache
-def _window_masks(q: tuple[int, ...]) -> _WindowMasks:
-    return _WindowMasks(q)
+_window_masks = cache(_WindowMasks)
 
 
 def _open(t: _WindowMasks, r: int, state: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -246,8 +244,6 @@ def _moves_generic(
     A state is the number r of unused values and the packed occurrences
     that `_advance` keeps.  The state is opened once for all r ranks.
     """
-    if not r:
-        return
     t = _window_masks(q)
     opened = _open(t, r, state)
     for x in range(r):
@@ -397,13 +393,10 @@ def _live(moves: _Moves) -> _Moves:
     number of unused values.  The search and the kept moves read one
     store of each state's raw moves, so `moves` runs once per state.
     """
-    raw: dict[tuple, tuple] = {}  # state -> its moves, live or not
 
-    def moves_of(state: tuple) -> tuple:
-        found = raw.get(state)
-        if found is None:
-            found = raw[state] = tuple(moves(*state))
-        return found
+    @cache
+    def moves_of(state: tuple) -> tuple:  # live or not
+        return tuple(moves(*state))
 
     @cache
     def is_live(state: tuple) -> bool:

@@ -1,20 +1,20 @@
 """Polynomial roots and certified growth bounds.
 
 One exact route certifies the root that matters.  A Schur-Cohn count in
-integer arithmetic finds a rational radius R with exactly one zero of p
-in |x| < R.  The count is with multiplicity, so that zero is simple.
-The non-real zeros of a real polynomial come in conjugate pairs, so it
-is real, and a sign change of p below R makes it positive.  Exact
-bisection of that bracket to PRECISION must end in the one cell of its
-last level that holds the zero; a float Newton iterate names the cell,
-and two exact signs prove it, or else the bisection runs.  Floats only
-propose: the interval is the bisection's either way.  Every other zero
-has modulus at least R, which proves the modulus gap.  Outward counts
-then widen R: `certified_smallest_root` takes all OUTWARD_STEPS, to
-report a wide gap, and `growth_bound`, which returns no gap, stops at
-the first R that proves one.  Each sign comes from one evaluator,
-`_scaled_value`: b^n * p(a/b) by Horner's rule in ints, so the
-bisection runs on int numerators over one shared denominator.
+integer arithmetic, `_zeros_inside(p, R)`, finds a rational radius R
+with exactly one zero of p in |x| < R.  The count is with multiplicity,
+so that zero is simple.  The non-real zeros of a real polynomial come in
+conjugate pairs, so it is real, and a sign change of p below R makes it
+positive.  Exact bisection of that bracket to PRECISION must end in the
+one cell of its last level that holds the zero; a float Newton iterate
+names the cell, and two exact signs prove it, or else the bisection
+runs.  Floats only propose: the interval is the bisection's either way.
+Every other zero has modulus at least R, which proves the modulus gap.
+Outward counts then widen R: `certified_smallest_root` takes all
+OUTWARD_STEPS, to report a wide gap, and `growth_bound`, which returns
+no gap, stops at the first R that proves one.  Each sign comes from one
+evaluator, `_scaled_value`: b^n * p(a/b) by Horner's rule in ints, so
+the bisection runs on int numerators over one shared denominator.
 Durand-Kerner iteration (`all_roots`) stays only as the tests' float
 oracle.
 """
@@ -153,16 +153,6 @@ def all_roots(
     return sorted(roots, key=lambda z: (abs(z), z.real, z.imag))
 
 
-def _scaled(p: IntPolynomial, x: Fraction) -> list[int]:
-    """The int coefficients of b^n * p(a*t/b) in t, for x = a/b, n = deg p.
-
-    Their zeros in |t| < 1 are p's in |t| < x: they feed Schur-Cohn
-    (`_zeros_inside`) only, and signs come from `_scaled_value`.
-    """
-    a, b, n = x.numerator, x.denominator, p.degree
-    return [c * a**i * b ** (n - i) for i, c in enumerate(p.coeffs)]
-
-
 def _scaled_value(p: IntPolynomial, a: int, b: int) -> int:
     """b^n * p(a/b) for n = deg p, by Horner's rule in ints.
 
@@ -178,18 +168,22 @@ def _scaled_value(p: IntPolynomial, a: int, b: int) -> int:
     return value
 
 
-def _zeros_inside(c: list[int]) -> int | None:
-    """Zeros of sum c[i] t^i in |t| < 1, with multiplicity, by Schur-Cohn.
+def _zeros_inside(p: IntPolynomial, r: Fraction) -> int | None:
+    """Zeros of p in |x| < r, with multiplicity, by Schur-Cohn.
 
-    Each step takes the Schur transform a0*p - an*p* (p* reverses the
-    coefficients), of lower degree, and divides it by its content.  It has
-    as many zeros inside as p when a0^2 > an^2, and deg p minus that many
-    when a0^2 < an^2.  A singular step, a0^2 = an^2, gives None; any zero
-    on the unit circle forces one.
+    For r = a/b and n = deg p, it counts the zeros in |t| < 1 of the int
+    polynomial c(t) = b^n * p(a*t/b).  Each step takes the Schur transform
+    a0*c - an*c* (c* reverses the coefficients), of lower degree, and
+    divides it by its content.  It has as many zeros inside as c when
+    a0^2 > an^2, and deg c minus that many when a0^2 < an^2.  A singular
+    step, a0^2 = an^2, gives None; any zero on the circle |x| = r forces
+    one.
 
-    >>> _zeros_inside([-1, 0, 4]), _zeros_inside([1, -4, 1])  # 4t^2 - 1; 1 - 4t + t^2
-    (2, None)
+    >>> [_zeros_inside(IntPolynomial(c), Fraction(1)) for c in ((-1, 0, 4), (1, -4, 1))]
+    [2, None]
     """
+    a, b, n = r.numerator, r.denominator, p.degree
+    c = [v * a**i * b ** (n - i) for i, v in enumerate(p.coeffs)]
     inside, sign = 0, 1
     while len(c) > 1:
         a0, an, n = c[0], c[-1], len(c) - 1
@@ -372,7 +366,7 @@ def _certificate(p: IntPolynomial, widen_fully: bool) -> RootEstimate:
     """
     lo, hi, r = Fraction(0), None, Fraction(1)
     for _ in range(SEARCH_STEPS):
-        count = _zeros_inside(_scaled(p, r))
+        count = _zeros_inside(p, r)
         if count == 1:
             break
         if count is None:  # a singular step decides nothing: retry nearer lo
@@ -396,7 +390,7 @@ def _certificate(p: IntPolynomial, widen_fully: bool) -> RootEstimate:
         if not widen_fully and float(r) / top > needed:
             break
         step = 2 * r if hi is None else (r + hi) / 2
-        if _zeros_inside(_scaled(p, step)) == 1:
+        if _zeros_inside(p, step) == 1:
             r = step
         else:
             hi = step

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import index
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 __all__ = [
     "IntPolynomial",
@@ -38,9 +38,6 @@ __all__ = [
     "rf_equal",
     "verify_functional_equations",
 ]
-
-Scalar = Union[int, Fraction]
-
 
 class _Frozen:
     """Base of the package's immutable value classes, as a frozen dataclass would be.
@@ -134,11 +131,10 @@ class IntPolynomial(_Frozen):
                     out[i + j] += a * b
         return IntPolynomial(tuple(out))
 
-    def __rmul__(self, other: int) -> "IntPolynomial":
-        return self * other
+    __rmul__ = __mul__
 
-    def evaluate(self, x: Scalar) -> Scalar:
-        out: Scalar = 0
+    def evaluate(self, x: int | Fraction) -> int | Fraction:
+        out: int | Fraction = 0
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
@@ -193,10 +189,7 @@ class RationalFunction(_Frozen):
     __radd__ = __add__
 
     def __sub__(self, other: "RationalFunction | IntPolynomial | int") -> "RationalFunction":
-        other = self._coerce(other)
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self + -self._coerce(other)
 
     def __rsub__(self, other: "IntPolynomial | int") -> "RationalFunction":
         return self._coerce(other) - self
@@ -306,38 +299,21 @@ def verify_functional_equations() -> list[EquationCheck]:
     """
     x = rf(X)
     seg = SEGMENT_SERIES
+    cab = _cd_tail() * (x * seg) * x  # (x/(1-2x)) * x*S * x
+    # Each equation reads F = S^2 (1+F) - cut * F.
+    equations = (
+        ("pairs-cab", PAIR_SERIES_CAB, cab, "splitting a pair at the last A of w"),
+        (
+            "pairs-cabb",
+            PAIR_SERIES_CABB,
+            cab + (x * x * seg) * _one_b_segment() * x,  # and x^2*S * (one-B segment) * x
+            "recursive step read as self-referential, not CAB-counted",
+        ),
+    )
     checks = []
-
-    # F = S^2 + S^2 F - (x/(1-2x)) * x*S * x * F
-    h = PAIR_SERIES_CAB
-    rhs = seg * seg + seg * seg * h - _cd_tail() * (x * seg) * x * h
-    residual = h - rhs
-    checks.append(
-        EquationCheck(
-            name="pairs-cab",
-            status="exact",
-            residual_num=residual.num.coeffs,
-            note="splitting a pair at the last A of w",
-        )
-    )
-
-    # F = S^2 (1+F) - (x/(1-2x)) * x*S * x * F - x^2*S * (one-B segment) * x * F
-    k = PAIR_SERIES_CABB
-    rhs = (
-        seg * seg * (rf(1) + k)
-        - _cd_tail() * (x * seg) * x * k
-        - (x * x * seg) * _one_b_segment() * x * k
-    )
-    residual = k - rhs
-    checks.append(
-        EquationCheck(
-            name="pairs-cabb",
-            status="exact",
-            residual_num=residual.num.coeffs,
-            note="recursive step read as self-referential, not CAB-counted",
-        )
-    )
-
+    for name, f, cut, note in equations:
+        residual = f - (seg * seg * (rf(1) + f) - cut * f)
+        checks.append(EquationCheck(name, "exact", residual.num.coeffs, note))
     checks.append(
         EquationCheck(
             name="pairs-cab-run",

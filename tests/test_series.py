@@ -38,6 +38,10 @@ small_polys = st.builds(
     IntPolynomial,
     st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(tuple),
 )
+small_rationals = st.builds(
+    RationalFunction, small_polys, small_polys.filter(lambda p: p.coefficient(0) != 0)
+)
+operands = st.one_of(small_rationals, st.integers(-9, 9), small_polys)
 
 
 def longdiv_expand(f: RationalFunction, order: int) -> list[Fraction]:
@@ -83,6 +87,7 @@ class TestIntPolynomial:
         assert (p - ONE).coeffs == (0, -3, 1)
         assert (-p).coeffs == (-1, 3, -1)
         assert (p * 2).coeffs == (2, -6, 2)
+        assert 2 * p == p * 2
 
     def test_evaluate_exact(self):
         p = IntPolynomial((1, -3, 1))
@@ -154,6 +159,16 @@ class TestRationalFunction:
         for f in (half, also_half):
             with pytest.raises(TypeError):
                 hash(f)
+
+    @given(small_rationals, operands, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_subtraction_keeps_the_cross_multiplied_form(self, f, other, other_first):
+        # A pairs-*-identity detail prints this form as its residual numerator.
+        f, g = (other, f) if other_first else (f, other)
+        diff = f - g
+        f, g = (v if isinstance(v, RationalFunction) else rf(v) for v in (f, g))
+        assert diff.num.coeffs == (f.num * g.den - g.num * f.den).coeffs
+        assert diff.den.coeffs == (f.den * g.den).coeffs
 
     def test_arithmetic(self):
         a = rf(ONE, ONE - X)
