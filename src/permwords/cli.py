@@ -16,7 +16,7 @@ from typing import Any
 
 from . import series, wordlang
 from .encoder import _word_pairs_along, decode, mark
-from .perm_core import Permutation, _avoider_walk, count_avoiders, dp_state_count
+from .perm_core import _PATTERN_1324, Permutation, _avoider_walk, count_avoiders, dp_state_count
 from .perm_core import enumerate_avoiders  # see __all__
 from .roots import CertificateError, certified_smallest_root, growth_bound
 from .series import expand, verify_functional_equations
@@ -144,7 +144,7 @@ def _check_args(args: argparse.Namespace) -> None:
     """
     if args.command == "count":
         args.pattern = Permutation.parse(args.pattern)
-        cap = COUNT_CAP_1324 if args.pattern.entries == (1, 3, 2, 4) else COUNT_CAP
+        cap = COUNT_CAP_1324 if args.pattern.entries == _PATTERN_1324 else COUNT_CAP
         _require_range("--n", args.n, 0, cap)
     elif args.command == "encode":
         args.perm = Permutation.parse(args.perm)
@@ -199,7 +199,7 @@ def _suite_injectivity(report: dict[str, Any]) -> None:
     failure: dict[str, str] = {}
     total = 0
     for n in range(1, n_max + 1):
-        for entries, pairs in _word_pairs_along(_avoider_walk(n, (1, 3, 2, 4))):
+        for entries, pairs in _word_pairs_along(_avoider_walk(n, _PATTERN_1324)):
             total += 1
             for mode, (w, z) in zip(modes, pairs):
                 try:
@@ -350,7 +350,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     t = expand(series.PAIR_SERIES_CAB_RUN, 2 * args.n)
     chain_rows = []
     for n in range(1, args.n + 1):
-        s_n = count_avoiders(n, (1, 3, 2, 4))
+        s_n = count_avoiders(n, _PATTERN_1324)
         chain_rows.append(
             {
                 "n": n,
@@ -369,7 +369,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         f"avoider count <= run <= cabb <= cab pair counts at every n<={args.n}",
     )
     report["timings"]["chain"] = time.perf_counter() - t0
-    report["counters"]["dp_states"] = dp_state_count((1, 3, 2, 4))
+    report["counters"]["dp_states"] = dp_state_count(_PATTERN_1324)
     return _emit(report, args.format, args.out)
 
 

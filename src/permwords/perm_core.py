@@ -53,16 +53,19 @@ class Permutation(_Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
-        """Parse "3612745" (single digits) or "10,2,3,..." (comma form)."""
+        """Parse "3612745" (single digits) or "10,2,3,..." (split by commas or whitespace).
+
+        Entries are ASCII digits only, and no comma field may be empty.
+        """
         text = text.strip()
         if not text:
             raise ValueError("empty permutation text")
-        if "," in text or " " in text:
-            parts = text.replace(",", " ").split()
-        else:
-            parts = list(text)
+        fields = [field.split() for field in text.split(",")]
+        parts = list(text) if fields == [[text]] else [t for f in fields for t in f]
         try:
-            return cls(tuple(int(part) for part in parts))
+            if not all(fields) or not all(t.isascii() and t.isdigit() for t in parts):
+                raise ValueError
+            return cls(tuple(map(int, parts)))
         except ValueError:
             raise ValueError(f"not a permutation: {text!r}") from None
 
@@ -282,6 +285,16 @@ def _order_type(q: Permutation | Sequence[int]) -> tuple[int, ...]:
     return Permutation(_flatten(_entries_of(q))).entries
 
 
+def _checked_pattern(n: int, q: Permutation | Sequence[int]) -> tuple[int, ...]:
+    """q's order type, once n >= 0 and q is a nonempty pattern, or ValueError."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    pattern = _order_type(q)
+    if not pattern:
+        raise ValueError("pattern must be nonempty")
+    return pattern
+
+
 def _root_1324(n: int) -> tuple[int, tuple[int, ...]]:
     """The 1324 DP's state of the empty prefix of a permutation of 1..n."""
     return n, (0,) * n
@@ -426,11 +439,7 @@ def count_avoiders(n: int, q: Permutation | Sequence[int]) -> int:
     >>> count_avoiders(5, (1, 3, 2))
     42
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    pattern = _order_type(q)
-    if not pattern:
-        raise ValueError("pattern must be nonempty")
+    pattern = _checked_pattern(n, q)
     if len(pattern) > n:
         return factorial(n)
     if pattern == _PATTERN_1324:
@@ -458,11 +467,7 @@ def _trusted(entries: tuple[int, ...]) -> Permutation:
 
 def _avoider_walk(n: int, q: Permutation | Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The `_walk` of the q-avoiders of length n, its arguments checked at the call."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    pattern = _order_type(q)
-    if not pattern:
-        raise ValueError("pattern must be nonempty")
+    pattern = _checked_pattern(n, q)
     if pattern == _PATTERN_1324:
         return _walk(n, _moves_1324, _root_1324(n))
     _require_generic(n)

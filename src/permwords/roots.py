@@ -276,11 +276,11 @@ def _proven_cell(p: IntPolynomial, a: int, b: int, den: int, f_lo: int) -> tuple
     and den is den * 2^k, so bisection ends in the cell i from a * 2^k +
     i * (b - a) to that plus b - a: the one that holds the zero, unless
     a midpoint hits it first.  A float Newton iterate from the midpoint
-    names i; cell i, or i + 1 or i - 1 when both its edges share a sign,
-    is returned only when exact signs prove it: f_lo's at its left edge
-    and the other at its right, both nonzero.  Then the zero is inside
-    and on no midpoint, and bisection ends there too.  Any float failure
-    or unproven cell returns the bracket unchanged, to be bisected.
+    names i, and cell i is returned only when exact signs prove it:
+    f_lo's at its left edge and the other at its right, both nonzero.
+    Then the zero is inside and on no midpoint, and bisection ends there
+    too.  Any float failure or unproven cell returns the bracket
+    unchanged, to be bisected.
     """
     d, k = b - a, _halvings(b - a, den)
     lo, hi = a / den, b / den
@@ -295,12 +295,7 @@ def _proven_cell(p: IntPolynomial, a: int, b: int, den: int, f_lo: int) -> tuple
         v = _scaled_value(p, base + j * d, den_k)
         return 0 if v == 0 else 1 if (v > 0) == (f_lo > 0) else -1
 
-    left, right = side(i), side(i + 1)
-    if left == right == 1 and i + 2 <= 2**k:
-        i, left, right = i + 1, right, side(i + 2)
-    elif left == right == -1 and i >= 1:
-        i, left, right = i - 1, side(i - 1), left
-    if (left, right) != (1, -1):
+    if (side(i), side(i + 1)) != (1, -1):
         return a, b, den
     return base + i * d, base + (i + 1) * d, den_k
 

@@ -91,9 +91,6 @@ class IntPolynomial(_Frozen):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -133,12 +130,6 @@ class IntPolynomial(_Frozen):
 
     __rmul__ = __mul__
 
-    def evaluate(self, x: int | Fraction) -> int | Fraction:
-        out: int | Fraction = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
@@ -167,7 +158,7 @@ class RationalFunction(_Frozen):
     def __init__(self, num: IntPolynomial, den: IntPolynomial = ONE) -> None:
         if not (isinstance(num, IntPolynomial) and isinstance(den, IntPolynomial)):
             raise TypeError(f"num and den must be IntPolynomials: {num!r}, {den!r}")
-        if den.is_zero() or den.coefficient(0) == 0:
+        if den.coefficient(0) == 0:
             raise ValueError("denominator must have a nonzero constant term")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -215,7 +206,7 @@ class RationalFunction(_Frozen):
 
 def rf_equal(f: RationalFunction, g: RationalFunction) -> bool:
     """f == g as rational functions (cross-multiplied, exact)."""
-    return (f.num * g.den - g.num * f.den).is_zero()
+    return not (f.num * g.den - g.num * f.den)
 
 
 def rf(num: IntPolynomial | int, den: IntPolynomial | int = 1) -> RationalFunction:

@@ -29,7 +29,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .encoder import encode
-from .perm_core import enumerate_avoiders
+from .perm_core import _PATTERN_1324, enumerate_avoiders
 
 __all__ = [
     "PairRule",
@@ -302,7 +302,7 @@ def verify_lemma_on_avoiders(n: int) -> AvoiderPairReport:
     checked = 0
     # The empty permutation encodes to empty words, outside the pair
     # language (every member starts with A); nothing to check at n = 0.
-    for p in enumerate_avoiders(n, (1, 3, 2, 4)) if n else ():
+    for p in enumerate_avoiders(n, _PATTERN_1324) if n else ():
         w, z = encode(p)
         checked += 1
         if not check_pair(w, z, PairRule.NONE):

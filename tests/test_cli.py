@@ -34,6 +34,14 @@ class TestUsageErrors:
         assert "error:" in err
         assert out == ""
 
+    def test_typo_in_a_permutation(self, capsys):
+        # A typo in a permutation is a usage error, not some other permutation.
+        for argv in (["encode", "3,6,,1,2,7,4,5"], ["count", "--pattern", ",1,3,2,4,"]):
+            code, out, err = run_main(argv, capsys)
+            assert code == 2, argv
+            assert "error:" in err
+            assert out == ""
+
     def test_count_cap(self, capsys):
         for argv in (
             ["count", "--n", "99"],

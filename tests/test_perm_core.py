@@ -51,9 +51,12 @@ class TestPermutation:
 
     def test_parse_commas(self):
         assert Permutation.parse("10,2,3,4,5,6,7,8,9,1").entries[0] == 10
+        assert Permutation.parse("2, 1").entries == Permutation.parse("2 1").entries == (2, 1)
 
     def test_parse_rejects_non_permutations(self):
-        for bad in ("1321", "102", "0", "", "2,2,1", "1,3"):
+        # Empty comma fields, a sign, a digit separator, a non-ASCII digit too.
+        for bad in ("1321", "102", "0", "", "2,2,1", "1,3",
+                    "1,,2", ",1,2", "1,2,", "+1,2", "1_0,2,3,4,5,6,7,8,9,1", "\uff121"):
             with pytest.raises(ValueError):
                 Permutation.parse(bad)
 

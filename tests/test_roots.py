@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -59,7 +60,8 @@ class TestAllRoots:
         p = PAIR_SERIES_CAB.den
         scale = sum(abs(c) for c in p.coeffs)
         for z in all_roots(p):
-            assert abs(p.evaluate(z)) < 1e-8 * scale
+            value = functools.reduce(lambda v, c: v * z + c, reversed(p.coeffs), 0j)  # p(z)
+            assert abs(value) < 1e-8 * scale
 
     def test_sorted_by_modulus(self):
         mods = [abs(z) for z in all_roots(PAIR_SERIES_CABB.den)]
@@ -474,10 +476,10 @@ class TestProvenCell:
         assert same_interval(est, bisected)
         assert not proven
 
-    @pytest.mark.parametrize("cells, proven", [(-1, True), (1, True), (-3, False), (3, False)])
+    @pytest.mark.parametrize("cells, proven", [(-1, False), (1, False), (-3, False), (3, False)])
     def test_a_guess_cells_off(self, cells, proven):
-        # A guess one cell off is proven in the neighbouring cell; one
-        # further off is not, and the bisection runs.
+        # A guess off by a cell or more is not proven, and the bisection
+        # runs.
         newton = roots._newton
 
         def off(p: IntPolynomial, lo: float, hi: float) -> float:

@@ -23,6 +23,7 @@ from permwords import (
     rf_equal,
     verify_functional_equations,
 )
+from permwords.roots import _scaled_value
 from permwords.series import ONE, X, rf
 
 # Coefficients 2..14 of the three pair series, frozen against
@@ -59,7 +60,7 @@ class TestIntPolynomial:
     def test_strips_trailing_zeros(self):
         assert IntPolynomial((1, 0, 0)).coeffs == (1,)
         assert IntPolynomial((0,)).coeffs == ()
-        assert IntPolynomial(()).is_zero()
+        assert not IntPolynomial(())
 
     def test_rejects_non_integer_coefficients(self):
         # int() used to truncate them silently (3/2 to 1, a scalar 1/2 to 0);
@@ -89,14 +90,9 @@ class TestIntPolynomial:
         assert (p * 2).coeffs == (2, -6, 2)
         assert 2 * p == p * 2
 
-    def test_evaluate_exact(self):
-        p = IntPolynomial((1, -3, 1))
-        assert p.evaluate(Fraction(1, 2)) == Fraction(-1, 4)
-        assert p.evaluate(0) == 1
-
     def test_derivative(self):
         assert IntPolynomial((1, -3, 1)).derivative().coeffs == (-3, 2)
-        assert ONE.derivative().is_zero()
+        assert not ONE.derivative()
 
     @given(small_polys, small_polys, small_polys)
     @settings(max_examples=200, deadline=None)
@@ -109,8 +105,9 @@ class TestIntPolynomial:
     @given(small_polys, small_polys, st.integers(-3, 3))
     @settings(max_examples=200, deadline=None)
     def test_evaluation_is_a_homomorphism(self, p, q, x):
-        assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
-        assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
+        # _scaled_value(f, x, 1) is exactly f(x)
+        assert _scaled_value(p * q, x, 1) == _scaled_value(p, x, 1) * _scaled_value(q, x, 1)
+        assert _scaled_value(p + q, x, 1) == _scaled_value(p, x, 1) + _scaled_value(q, x, 1)
 
 
 class TestRationalFunction:
