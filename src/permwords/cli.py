@@ -15,7 +15,7 @@ from functools import cache
 from typing import Any
 
 from . import series, wordlang
-from .encoder import _word_pairs_along, decode, mark
+from .encoder import MODES, _word_pairs_along, decode, mark
 from .perm_core import _PATTERN_1324, Permutation, _avoider_walk, count_avoiders, dp_state_count
 from .perm_core import enumerate_avoiders  # see __all__
 from .roots import CertificateError, certified_smallest_root, growth_bound
@@ -195,13 +195,12 @@ def _suite_injectivity(report: dict[str, Any]) -> None:
     # decode is a left inverse of the encoding, so a round trip per avoider
     # proves injectivity without keeping the pairs seen.
     n_max = report["inputs"]["n"]
-    modes = ("plain", "rule4prime")
     failure: dict[str, str] = {}
     total = 0
     for n in range(1, n_max + 1):
         for entries, pairs in _word_pairs_along(_avoider_walk(n, _PATTERN_1324)):
             total += 1
-            for mode, (w, z) in zip(modes, pairs):
+            for mode, (w, z) in zip(MODES, pairs):
                 try:
                     back = decode(w, z)
                 except ValueError as exc:
@@ -212,8 +211,8 @@ def _suite_injectivity(report: dict[str, Any]) -> None:
                     wrong = f"decodes to {back}"
                 failure.setdefault(mode, f"{Permutation(entries)} -> ({w}, {z}) {wrong}")
     report["counters"]["injectivity_avoiders"] = total
-    report["counters"]["pairs_decoded"] = total * len(modes)
-    for mode in modes:
+    report["counters"]["pairs_decoded"] = total * len(MODES)
+    for mode in MODES:
         detail = f"{total} avoiders with n<={n_max} map to distinct pairs"
         if mode in failure:
             detail = f"round trip fails at {failure[mode]}"
@@ -389,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_encode = sub.add_parser("encode", help="encode one permutation")
     p_encode.add_argument("perm", help="e.g. 3612745 or 10,2,3,...")
-    p_encode.add_argument("--mode", choices=("plain", "rule4prime"), default="rule4prime")
+    p_encode.add_argument("--mode", choices=MODES, default="rule4prime")
     p_encode.add_argument("--format", choices=("plain", "json"), default="plain")
     p_encode.set_defaults(func=cmd_encode)
 

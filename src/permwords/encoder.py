@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 Mode = Literal["plain", "rule4prime"]
+MODES: tuple[Mode, ...] = ("plain", "rule4prime")  # `_word_pairs_along`'s order
 
 
 class WordPair(NamedTuple):
@@ -149,7 +150,7 @@ def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPer
     >>> mark(Permutation.parse("3612745")).letters
     'ABABDCD'
     """
-    if mode not in ("plain", "rule4prime"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     perm = p if isinstance(p, Permutation) else Permutation(_entries_of(p))
     w, z, turned = _letters(perm.entries)
@@ -167,7 +168,7 @@ def mark(p: Permutation | Sequence[int], mode: Mode = "rule4prime") -> MarkedPer
 def _word_pairs_along(
     walk: Iterable[tuple[int, ...]],
 ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[str, str], tuple[str, str]]]]:
-    """Yield each permutation of a walk with its plain and its rule4prime pair.
+    """Yield each permutation of a walk with its pairs, in MODES order.
 
     One `_letters` pass per permutation gives both: the rule4prime pair is
     the plain one with the turned Bs written as Ds, in w and in z.

@@ -12,20 +12,19 @@ runs.  Floats only propose: the interval is the bisection's either way.
 Every other zero has modulus at least R, which proves the modulus gap.
 Outward counts then widen R: `certified_smallest_root` takes all
 OUTWARD_STEPS, to report a wide gap, and `growth_bound`, which returns
-no gap, stops at the first R that proves one.  Each sign comes from one
-evaluator, `_scaled_value`: b^n * p(a/b) by Horner's rule in ints, so
-the bisection runs on int numerators over one shared denominator.
-Durand-Kerner iteration (`all_roots`) stays only as the tests' float
-oracle.
+no gap, stops at the first R that proves one.  The exact algebra comes
+from `series`: each sign from `_scaled_value`, b^n * p(a/b) in ints, so
+the bisection runs on int numerators over one shared denominator, and
+the pole and square-free tests from the polynomial gcd `_gcd`.
+Durand-Kerner iteration (`all_roots`) stays only as the tests' float oracle.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
-from math import floor, gcd, isfinite, lcm
+from math import floor, isfinite, lcm
 
-from .series import IntPolynomial, RationalFunction, _Frozen
+from .series import IntPolynomial, RationalFunction, _Frozen, _gcd, _primitive, _scaled_value
 
 __all__ = [
     "CertificateError",
@@ -88,9 +87,7 @@ class RootEstimate(_Frozen):
         return self.modulus_gap is not None
 
 
-def all_roots(
-    p: IntPolynomial, *, tol: float = 1e-13, max_iter: int = 1000
-) -> list[complex]:
+def all_roots(p: IntPolynomial) -> list[complex]:
     """All complex roots of p by Durand-Kerner iteration, in floats.
 
     No certificate uses it; it is the tests' float oracle for the exact
@@ -99,10 +96,11 @@ def all_roots(
     inputs used here the root multiset must be closed under conjugation;
     a failure of either raises instead of returning bad data.
     """
+    import cmath  # only here, so that no command loads it
+
     if p.degree < 1:
         raise ValueError("polynomial must have degree at least 1")
-    lead = p.coeffs[-1]
-    monic = [c / lead for c in p.coeffs]
+    monic = [c / p.coeffs[-1] for c in p.coeffs]
     deg = p.degree
     if deg == 1:
         return [complex(-monic[0])]
@@ -119,7 +117,7 @@ def all_roots(
         radius ** ((k + 1) / deg) * seed * cmath.exp(2j * cmath.pi * k / deg)
         for k in range(deg)
     ]
-    for _ in range(max_iter):
+    for _ in range(1000):
         shift = 0.0
         for k in range(deg):
             zk = roots[k]
@@ -134,10 +132,10 @@ def all_roots(
             delta = value(zk) / denom
             roots[k] = zk - delta
             shift = max(shift, abs(delta))
-        if shift <= tol * max(1.0, max(abs(z) for z in roots)):
+        if shift <= 1e-13 * max(1.0, max(abs(z) for z in roots)):
             break
     else:
-        raise RootConvergenceError(f"no convergence after {max_iter} iterations: {roots}")
+        raise RootConvergenceError(f"no convergence after 1000 iterations: {roots}")
 
     for z in roots:
         scale = sum(abs(c) * max(1.0, abs(z)) ** i for i, c in enumerate(monic))
@@ -151,21 +149,6 @@ def all_roots(
             raise RootConvergenceError(f"roots not closed under conjugation near {z}")
         unmatched.remove(best)
     return sorted(roots, key=lambda z: (abs(z), z.real, z.imag))
-
-
-def _scaled_value(p: IntPolynomial, a: int, b: int) -> int:
-    """b^n * p(a/b) for n = deg p, by Horner's rule in ints.
-
-    For b > 0 it has the sign of p(a/b), whether or not a/b is reduced.
-
-    >>> _scaled_value(IntPolynomial((-1, 0, 2)), 1, 2)  # 4 * (2/4 - 1)
-    -2
-    """
-    value, power = 0, 1
-    for c in reversed(p.coeffs):
-        value = value * a + c * power
-        power *= b
-    return value
 
 
 def _zeros_inside(p: IntPolynomial, r: Fraction) -> int | None:
@@ -194,14 +177,6 @@ def _zeros_inside(p: IntPolynomial, r: Fraction) -> int | None:
             inside, sign = inside + sign * n, -sign
         c = _primitive([a0 * c[i] - an * c[n - i] for i in range(n)])  # c[0] = delta
     return inside
-
-
-def _primitive(c: list[int]) -> list[int]:
-    """c (a fresh list) without trailing zeros, divided by its content gcd."""
-    while c and not c[-1]:
-        c.pop()
-    g = gcd(*c)
-    return [v // g for v in c]
 
 
 def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction) -> RootEstimate:
@@ -327,26 +302,7 @@ def _newton(p: IntPolynomial, lo: float, hi: float) -> float | None:
 
 def is_square_free(p: IntPolynomial) -> bool:
     """Exact check: gcd(p, p') is a constant.  No certificate needs it."""
-    return _gcd_degree(p, p.derivative()) == 0
-
-
-def _gcd_degree(a: IntPolynomial, b: IntPolynomial) -> int:
-    """Degree of gcd(a, b), or -1 when both are zero.
-
-    A primitive pseudo-remainder sequence in ints: each step clears the
-    remainder's top term by integer multiples, then divides by the content.
-    """
-    p, q = _primitive(list(a.coeffs)), _primitive(list(b.coeffs))
-    while q:
-        r = p
-        while len(r) >= len(q):
-            top, shift = r[-1], len(r) - len(q)
-            r = [q[-1] * v for v in r]
-            for i, v in enumerate(q):
-                r[i + shift] -= top * v
-            r = _primitive(r)
-        p, q = q, r
-    return len(p) - 1
+    return _gcd(p, p.derivative()).degree == 0
 
 
 def _certificate(p: IntPolynomial, widen_fully: bool) -> RootEstimate:
@@ -423,7 +379,7 @@ def growth_bound(f: RationalFunction) -> float:
     bound row, the search radius already does); the same f are refused
     as with all OUTWARD_STEPS.
     """
-    if _gcd_degree(f.num, f.den) != 0:
+    if _gcd(f.num, f.den).degree != 0:
         raise CertificateError(f"gcd of {f.num.coeffs} and {f.den.coeffs} is not constant")
     est = _certificate(f.den, widen_fully=False)
     return (1.0 / est.value) ** 2

@@ -2,7 +2,9 @@
 
 Everything here is exact: coefficients are Python ints (or Fractions at
 the few points where division is unavoidable), and equality of rational
-functions is decided by cross-multiplication, never by floats.
+functions is decided by cross-multiplication, never by floats.  Here too
+is the exact algebra `roots` certifies with: `_scaled_value`, `_primitive`
+and the gcd `_gcd`.
 
 The module also pins the closed-form rational series the rest of the
 package reproduces:
@@ -22,6 +24,7 @@ of `brute_count_pairs` and the CLI's gf suite.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import index
 from typing import NamedTuple
 
@@ -132,6 +135,48 @@ class IntPolynomial(_Frozen):
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+
+
+def _scaled_value(p: IntPolynomial, a: int, b: int) -> int:
+    """b^n * p(a/b) for n = deg p, by Horner's rule in ints.
+
+    For b > 0 it has the sign of p(a/b), whether or not a/b is reduced.
+
+    >>> _scaled_value(IntPolynomial((-1, 0, 2)), 1, 2)  # 4 * (2/4 - 1)
+    -2
+    """
+    value, power = 0, 1
+    for c in reversed(p.coeffs):
+        value = value * a + c * power
+        power *= b
+    return value
+
+
+def _primitive(c: list[int]) -> list[int]:
+    """c (a fresh list) without trailing zeros, divided by its content gcd."""
+    while c and not c[-1]:
+        c.pop()
+    g = gcd(*c)
+    return [v // g for v in c]
+
+
+def _gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """The primitive gcd of a and b, up to sign; zero when both are zero.
+
+    A primitive pseudo-remainder sequence in ints: each step clears the
+    remainder's top term by integer multiples, then divides by the content.
+    """
+    p, q = _primitive(list(a.coeffs)), _primitive(list(b.coeffs))
+    while q:
+        r = p
+        while len(r) >= len(q):
+            top, shift = r[-1], len(r) - len(q)
+            r = [q[-1] * v for v in r]
+            for i, v in enumerate(q):
+                r[i + shift] -= top * v
+            r = _primitive(r)
+        p, q = q, r
+    return IntPolynomial(tuple(p))
 
 
 def _poly(*coeffs: int) -> IntPolynomial:

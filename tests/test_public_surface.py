@@ -144,10 +144,11 @@ def test_every_private_name_is_used_by_the_package():
 def test_cli_import_loads_no_dataclasses():
     # `dataclasses` and `inspect`, which it imports, took 7-12 ms and 1 MB
     # of every command's start-up; nothing in the package needs them.
+    # `cmath` serves only `roots.all_roots`, the tests' float oracle.
     src = Path(permwords.__file__).resolve().parent.parent
     code = (
         "import sys, permwords.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'cmath'} & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

@@ -27,13 +27,12 @@ from permwords.cli import BOUND_ROWS
 from permwords.roots import (
     PRECISION,
     CertificateError,
-    _gcd_degree,
     _scaled_value,
     _zeros_inside,
     all_roots,
     is_square_free,
 )
-from permwords.series import rf
+from permwords.series import _gcd, rf
 
 
 def linear(root: int) -> IntPolynomial:
@@ -504,19 +503,24 @@ class TestProvenCell:
         capsys.readouterr()
 
 
+def fraction_remainder(a: list[Fraction], d: list[Fraction]) -> list[Fraction]:
+    """a mod d by long division over the rationals; d has a nonzero top."""
+    r = a[:]
+    while len(r) >= len(d):
+        factor, shift = r[-1] / d[-1], len(r) - len(d)
+        for i, c in enumerate(d):
+            r[i + shift] -= factor * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
 def fraction_gcd_degree(a: IntPolynomial, b: IntPolynomial) -> int:
     """Euclid over the rationals: the oracle of the int sequence."""
     fa = [Fraction(c) for c in a.coeffs]
     fb = [Fraction(c) for c in b.coeffs]
     while fb:
-        r = fa[:]
-        while len(r) >= len(fb):
-            factor, shift = r[-1] / fb[-1], len(r) - len(fb)
-            for i, c in enumerate(fb):
-                r[i + shift] -= factor * c
-            while r and r[-1] == 0:
-                r.pop()
-        fa, fb = fb, r
+        fa, fb = fb, fraction_remainder(fa, fb)
     return len(fa) - 1
 
 
@@ -531,9 +535,28 @@ class TestGcdDegree:
         for _ in range(400):
             a, b, c = poly(), poly(), poly()
             expected = fraction_gcd_degree(a * c, b * c)
-            assert _gcd_degree(a * c, b * c) == expected, (a, b, c)
+            assert _gcd(a * c, b * c).degree == expected, (a, b, c)
             degrees.add(expected)
         assert {-1, 0, 1, 2, 3, 4} <= degrees  # common factors of every degree
+
+    def test_the_gcd_divides_both_inputs(self):
+        # The returned polynomial itself, not only its degree: Fraction long
+        # division of each input by it leaves no remainder.
+        rng = random.Random(31)
+
+        def poly() -> IntPolynomial:
+            return IntPolynomial(tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 5))))
+
+        for _ in range(400):
+            a, b, c = poly() * poly(), poly(), poly()
+            g = _gcd(a * c, b * c)
+            if not g:
+                assert not (a * c or b * c), (a, b, c)
+                continue
+            for f in (a * c, b * c):
+                assert fraction_remainder(list(map(Fraction, f.coeffs)), list(g.coeffs)) == []
+            assert g.degree >= c.degree, (a, b, c, g)  # c divides both
+        assert _gcd(IntPolynomial(()), IntPolynomial(())) == IntPolynomial(())
 
     def test_refuses_a_zero_numerator(self):
         with pytest.raises(CertificateError, match="not constant"):
